@@ -14,9 +14,11 @@ use std::time::{Duration, Instant};
 use common::{one_shot, TestClient};
 use tsc_serve::{Server, ServerConfig};
 
-/// A solve expensive enough (~hundreds of ms on one core) to hold the
-/// single worker while other requests are staged.
-const BLOCKER: &[u8] = br#"{"design": "gemmini", "tiers": 3, "lateral_cells": 12}"#;
+/// A solve expensive enough to hold the single worker while other
+/// requests are staged: ~0.2 s in a release build on one core (~4 s
+/// unoptimized) on the mixed-precision production solver, whose small
+/// solves finish before a 2 ms poll can see them in flight.
+const BLOCKER: &[u8] = br#"{"design": "gemmini", "tiers": 32, "lateral_cells": 64}"#;
 /// A cheap, distinct solve used as the staged request.
 const SMALL: &[u8] = br#"{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6}"#;
 

@@ -7,7 +7,9 @@
 //! expensive per-geometry state alive across those solves:
 //!
 //! * the assembled operator (face-conductance arrays + diagonal),
-//! * the multigrid hierarchy and its factored coarsest level,
+//! * the multigrid hierarchy and its factored coarsest level — on the
+//!   mixed-precision path the f32 shadow hierarchy, plus the f64
+//!   hierarchy only once a solve has needed its fallback,
 //! * the previous temperature field, used to warm-start the next solve.
 //!
 //! # Invalidation rules
@@ -18,7 +20,7 @@
 //! | change between solves            | action                                  |
 //! |----------------------------------|-----------------------------------------|
 //! | power map only                   | full reuse: new RHS, warm-started field |
-//! | conductivity / heatsink / mesh   | re-assemble operator + hierarchy; the   |
+//! | conductivity / heatsink / mesh   | re-assemble operator + hierarchies; the |
 //! |                                  | warm field survives if the cell count   |
 //! |                                  | is unchanged (a nearby design's field   |
 //! |                                  | is still an excellent initial guess)    |
@@ -26,9 +28,20 @@
 //! | solver configuration (tolerance, | warm field dropped: a field converged   |
 //! | preconditioner, precision,       | under looser arithmetic (f32 inner) or  |
 //! | smoother)                        | a looser tolerance must never seed a    |
-//! |                                  | stricter solve                          |
+//! |                                  | stricter solve; a smoother switch also  |
+//! |                                  | drops a built f64 hierarchy (and the    |
+//! |                                  | shadow with it)                         |
+//! | mixed-precision refinement       | f64 hierarchy built on demand, cached   |
+//! | stalls                           | until the operator changes              |
 //! | any failed solve                 | warm field dropped (never seed from a   |
 //! |                                  | possibly-poisoned iterate)              |
+//!
+//! Which hierarchy a solve builds depends on its precision: the f64
+//! multigrid path builds the f64 hierarchy; the mixed path builds only
+//! the f32 shadow, and the f64 hierarchy only when a refinement pass
+//! stalls and falls back to f64 (or the shadow's coarsest Cholesky
+//! fails and it must mirror the f64 chain). A healthy mixed solve never
+//! pays for the f64 chain and its dense coarsest factorization.
 //!
 //! The snapshot covers everything [`crate::Problem`]'s conductance
 //! assembly reads — mesh dimensions, cell pitches, layer thicknesses,
@@ -36,7 +49,7 @@
 //! never be silently stale.
 
 use crate::kernels::{HierarchyF32, WorkspaceF32};
-use crate::multigrid::{MgHierarchy, MgWorkspace, Smoother};
+use crate::multigrid::{LazyHierarchy, Smoother};
 use crate::problem::Problem;
 use crate::solver::{Assembled, CgSolver, Precision, Preconditioner, Solution, SolveError};
 use tsc_geometry::Dim3;
@@ -205,8 +218,15 @@ pub struct ContextStats {
     pub solves: usize,
     /// Operator (re-)assemblies actually performed.
     pub assemblies: usize,
-    /// Multigrid hierarchy constructions actually performed.
+    /// Multigrid hierarchy constructions actually performed: the f64
+    /// hierarchy on the f64 multigrid path, the f32 shadow on the
+    /// mixed-precision path.
     pub hierarchy_builds: usize,
+    /// f64 hierarchies that mixed-precision solves built on demand,
+    /// because a refinement pass stalled and fell back to f64 or the
+    /// shadow had to mirror the f64 chain. Zero while refinement stays
+    /// healthy.
+    pub fallback_hierarchy_builds: usize,
     /// Solves that reused the cached operator as-is.
     pub operator_reuses: usize,
     /// Solves warm-started from a previous temperature field.
@@ -248,12 +268,12 @@ pub struct ContextStats {
 pub struct SolveContext {
     key: Option<OperatorKey>,
     asm: Option<Assembled>,
-    hierarchy: Option<MgHierarchy>,
-    workspace: Option<MgWorkspace>,
-    /// f32 shadow hierarchy + scratch for mixed-precision solves (built
-    /// lazily, invalidated with the f64 hierarchy).
-    h32: Option<HierarchyF32>,
-    ws32: Option<WorkspaceF32>,
+    /// f64 hierarchy + scratch: built by every f64 multigrid solve, and
+    /// by a mixed solve only when it falls back to f64.
+    f64_mg: LazyHierarchy,
+    /// f32 shadow hierarchy + scratch for mixed-precision solves
+    /// (invalidated with the f64 hierarchy).
+    h32: Option<(HierarchyF32, WorkspaceF32)>,
     warm: Option<(WarmKey, Vec<f64>)>,
     warm_start: bool,
     stats: ContextStats,
@@ -318,11 +338,13 @@ impl SolveContext {
     pub fn invalidate(&mut self) {
         self.key = None;
         self.asm = None;
-        self.hierarchy = None;
-        self.workspace = None;
-        self.h32 = None;
-        self.ws32 = None;
+        self.drop_hierarchies();
         self.warm = None;
+    }
+
+    fn drop_hierarchies(&mut self) {
+        self.f64_mg = LazyHierarchy::default();
+        self.h32 = None;
     }
 
     /// Solves `p` with `solver`'s tolerances and preconditioner, reusing
@@ -345,36 +367,30 @@ impl SolveContext {
             let asm = Assembled::build(p)?;
             self.key = Some(OperatorKey::snapshot(p));
             self.asm = Some(asm);
-            self.hierarchy = None;
-            self.workspace = None;
-            self.h32 = None;
-            self.ws32 = None;
+            self.drop_hierarchies();
             self.stats.assemblies += 1;
         }
 
         let params = solver.params();
+        let mg_params = solver.mg_params();
         let warm_key = WarmKey::of(solver);
-        let needs_mg = solver.precision() == Precision::Mixed
-            || solver.preconditioner() == Preconditioner::Multigrid;
+        let mixed = solver.precision() == Precision::Mixed;
+        let needs_mg = mixed || solver.preconditioner() == Preconditioner::Multigrid;
         // A hierarchy built for a different smoother (no Chebyshev
-        // bounds, or the wrong ones) cannot be reused.
+        // bounds, or the wrong ones) cannot be reused; nor can a shadow
+        // that may mirror it.
         if needs_mg
             && self
-                .hierarchy
-                .as_ref()
-                .is_some_and(|mg| mg.smoother() != solver.smoother())
+                .f64_mg
+                .smoother()
+                .is_some_and(|s| s != solver.smoother())
         {
-            self.hierarchy = None;
-            self.workspace = None;
-            self.h32 = None;
-            self.ws32 = None;
+            self.drop_hierarchies();
         }
         let Self {
             asm,
-            hierarchy,
-            workspace,
+            f64_mg,
             h32,
-            ws32,
             warm,
             warm_start,
             stats,
@@ -393,32 +409,28 @@ impl SolveContext {
             _ => vec![asm.initial_guess; n],
         };
 
-        if needs_mg && hierarchy.is_none() {
-            let mg = MgHierarchy::build(asm, &solver.mg_params())?;
-            *workspace = Some(mg.workspace());
-            *hierarchy = Some(mg);
-            stats.hierarchy_builds += 1;
-        }
-        let result = if solver.precision() == Precision::Mixed {
-            // tsc-analyze: allow(no-unwrap): populated in the branch above
-            let mg = hierarchy.as_ref().expect("hierarchy cached above");
-            // tsc-analyze: allow(no-unwrap): populated in the branch above
-            let ws = workspace.as_mut().expect("workspace cached above");
-            if h32.is_none() {
-                let shadow = HierarchyF32::build(asm, mg);
-                *ws32 = Some(shadow.workspace());
-                *h32 = Some(shadow);
+        let had_f64 = f64_mg.is_built();
+        let result = if mixed {
+            let (shadow, scratch) = match h32 {
+                Some(built) => built,
+                empty => {
+                    let shadow = HierarchyF32::build(asm, &mg_params, f64_mg)?;
+                    stats.hierarchy_builds += 1;
+                    let scratch = shadow.workspace();
+                    empty.insert((shadow, scratch))
+                }
+            };
+            let result =
+                asm.cg_core_mixed(&rhs, &mut x, &params, shadow, scratch, &mg_params, f64_mg);
+            if !had_f64 && f64_mg.is_built() {
+                stats.fallback_hierarchy_builds += 1;
             }
-            // tsc-analyze: allow(no-unwrap): populated in the branch above
-            let shadow = h32.as_ref().expect("f32 hierarchy cached above");
-            // tsc-analyze: allow(no-unwrap): populated in the branch above
-            let scratch = ws32.as_mut().expect("f32 workspace cached above");
-            asm.cg_core_mixed(&rhs, &mut x, &params, mg, ws, shadow, scratch)
+            result
         } else if solver.preconditioner() == Preconditioner::Multigrid {
-            // tsc-analyze: allow(no-unwrap): populated in the branch above
-            let mg = hierarchy.as_ref().expect("hierarchy cached above");
-            // tsc-analyze: allow(no-unwrap): populated in the branch above
-            let ws = workspace.as_mut().expect("workspace cached above");
+            let (mg, ws) = f64_mg.get(asm, &mg_params)?;
+            if !had_f64 {
+                stats.hierarchy_builds += 1;
+            }
             asm.cg_core_mg(&rhs, &mut x, &params, mg, ws)
         } else {
             asm.cg_core(None, &rhs, &mut x, &params)
@@ -654,6 +666,23 @@ mod tests {
             .fold(0.0_f64, f64::max)
             / direct.temperatures.max_temperature().kelvin();
         assert!(max_diff < 1e-9, "relative deviation {max_diff}");
+    }
+
+    #[test]
+    fn clean_mixed_solves_build_no_f64_hierarchy() {
+        let mut p = problem();
+        let mut ctx = SolveContext::new();
+        let solver = mg_solver().with_precision(Precision::Mixed);
+        for _ in 0..2 {
+            let sol = ctx.solve(&p, &solver).expect("mixed");
+            assert_eq!(sol.stats.precision, Precision::Mixed);
+            p.add_power(3, 3, 7, Power::from_watts(0.25));
+        }
+        assert!(ctx.h32.is_some(), "the f32 shadow is cached");
+        assert!(!ctx.f64_mg.is_built(), "no f64 hierarchy without a stall");
+        let s = ctx.stats();
+        assert_eq!(s.hierarchy_builds, 1);
+        assert_eq!(s.fallback_hierarchy_builds, 0);
     }
 
     #[test]

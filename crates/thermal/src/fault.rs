@@ -33,6 +33,12 @@ pub enum FaultKind {
     /// Replace a residual evaluation with +∞ once the trigger iteration
     /// is reached.
     ResidualInf,
+    /// Report a residual evaluation as `1.0` once the trigger iteration
+    /// is reached: finite, but no contraction from a unit initial
+    /// residual, so a solver sees a stall instead of a divergence. The
+    /// field itself stays clean; this forces the mixed-precision path
+    /// onto its f64 fallback. Never drawn by [`FaultPlan::from_seed`].
+    ResidualStall,
     /// Truncate the iteration/sweep/cycle budget to the trigger value.
     TruncateBudget,
 }
@@ -165,6 +171,7 @@ pub(crate) fn corrupt_residual(iteration: usize, residual: f64) -> f64 {
     let poisoned = match plan.kind {
         FaultKind::ResidualNan => f64::NAN,
         FaultKind::ResidualInf => f64::INFINITY,
+        FaultKind::ResidualStall => 1.0,
         _ => return residual,
     };
     if iteration >= plan.trigger_iteration {

@@ -17,6 +17,15 @@
 //! the pure-f64 multigrid path *continuing from the current iterate*,
 //! so the mixed path is never less robust than f64 — only faster.
 //!
+//! The inner solve preconditions with its own f32 hierarchy
+//! ([`HierarchyF32`]), built from the fine operator alone. The f64
+//! [`MgHierarchy`] — a deeper semicoarsened chain whose coarsest level
+//! (up to 512 cells) costs a dense f64 Cholesky — is built on demand
+//! ([`LazyHierarchy`]): only when a pass stalls and the solve falls
+//! back to f64, or when the f32 chain's coarsest factorization fails
+//! and the shadow has to mirror the f64 chain. A healthy mixed solve
+//! never builds it.
+//!
 //! The f32 operator is stored structure-of-arrays ([`OpF32`]) and its
 //! matvec is written as branch-free per-row passes the autovectorizer
 //! handles well, cache-blocked into j-stripes sized so three slabs of a
@@ -31,8 +40,8 @@
 
 use crate::engine::ExecPlan;
 use crate::multigrid::{
-    coarsen, coarsen_factors_with, prolong_add, restrict, DenseCholesky, Factors, MgHierarchy,
-    MgWorkspace, Smoother,
+    coarsen, coarsen_factors_with, prolong_add, restrict, DenseCholesky, Factors, LazyHierarchy,
+    MgHierarchy, MgParams, Smoother,
 };
 use crate::solver::{
     norm, ordered_sum, slab_dot_wide_parts, Assembled, CgParams, Precision, Preconditioner,
@@ -428,12 +437,13 @@ pub(crate) struct WorkspaceF32 {
     cg_ap: Vec<f32>,
 }
 
-/// The f32 shadow of an [`MgHierarchy`]: every level's operator
-/// narrowed to [`OpF32`], sharing the f64 hierarchy's coarsening
-/// decisions, execution plans, smoother configuration and (still f64)
-/// coarsest-level Cholesky factor — the direct solve is a negligible
-/// fraction of the cycle, and keeping it in f64 costs nothing while
-/// anchoring the cycle's coarse corrections.
+/// The f32 preconditioner hierarchy of a mixed solve: every level's
+/// operator narrowed to [`OpF32`], on a fully coarsened chain of its
+/// own (see [`HierarchyF32::build`]), with a (still f64) coarsest-level
+/// Cholesky factor — the direct solve is a negligible fraction of the
+/// cycle, and keeping it in f64 costs nothing while anchoring the
+/// cycle's coarse corrections. Only its fallback form mirrors an
+/// [`MgHierarchy`].
 #[derive(Debug)]
 pub(crate) struct HierarchyF32 {
     ops: Vec<OpF32>,
@@ -461,7 +471,7 @@ enum SmootherF32 {
 }
 
 impl HierarchyF32 {
-    /// Builds the f32 shadow of an f64 hierarchy with its **own, fully
+    /// Builds the f32 shadow hierarchy for `fine` with its **own, fully
     /// coarsened chain** ([`F32_SEMI_THRESHOLD`]) smoothed by z-line
     /// Jacobi: the inner cycle is only a preconditioner, so it may
     /// trade spectral detail for a much cheaper grid complexity — a
@@ -469,14 +479,26 @@ impl HierarchyF32 {
     /// stalled pass falls back to f64). The line smoother is what makes
     /// full coarsening affordable on the anisotropic stacks; the
     /// configured point smoother (red-black / Chebyshev) only governs
-    /// the f64 hierarchy. Coarse-level execution plans are serial:
-    /// those grids are small, and a fixed serial schedule is trivially
-    /// thread-count independent. If the chain's coarsest operator fails
-    /// the Cholesky SPD check (it cannot, mathematically — Galerkin
-    /// aggregation of an SPD operator is SPD — but poisoned
-    /// conductances could), the shadow falls back to mirroring `mg`'s
-    /// already-factored levels and smoother.
-    pub(crate) fn build(fine: &Assembled, mg: &MgHierarchy) -> Self {
+    /// the f64 hierarchy. From `params` the shadow takes the finest
+    /// level's execution plan, the sweep counts and the relaxation
+    /// factor; coarse-level plans are serial: those grids are small,
+    /// and a fixed serial schedule is trivially thread-count
+    /// independent.
+    ///
+    /// No f64 hierarchy is built — unless the chain's coarsest operator
+    /// fails the Cholesky SPD check (it cannot, mathematically —
+    /// Galerkin aggregation of an SPD operator is SPD — but poisoned
+    /// conductances could). Then `f64_mg` is built (or reused) and the
+    /// shadow mirrors its already-factored levels and smoother.
+    ///
+    /// # Errors
+    ///
+    /// Those of the f64 hierarchy build, when the mirror needs it.
+    pub(crate) fn build(
+        fine: &Assembled,
+        params: &MgParams,
+        f64_mg: &mut LazyHierarchy,
+    ) -> Result<Self, SolveError> {
         let mut dims = vec![fine.dim()];
         let mut factors: Vec<Factors> = Vec::new();
         let mut chain: Vec<Assembled> = Vec::new();
@@ -494,7 +516,8 @@ impl HierarchyF32 {
             chain.push(coarse);
         }
         let Ok(chol) = DenseCholesky::factor(chain.last().unwrap_or(fine)) else {
-            return Self::mirror(fine, mg);
+            let (mg, _) = f64_mg.get(fine, params)?;
+            return Ok(Self::mirror(fine, mg));
         };
         let levels = || std::iter::once(fine).chain(chain.iter());
         let plans = dims
@@ -502,16 +525,15 @@ impl HierarchyF32 {
             .enumerate()
             .map(|(l, &d)| {
                 if l == 0 {
-                    mg.plans()[0].clone()
+                    ExecPlan::new(d, params.threads, params.crossover)
                 } else {
                     ExecPlan::new(d, 1, usize::MAX)
                 }
             })
             .collect();
-        let (nu_pre, nu_post) = mg.sweeps();
         let ops: Vec<OpF32> = levels().map(OpF32::from_assembled).collect();
         let line = ops.iter().map(LineZ::factor).collect();
-        Self {
+        Ok(Self {
             ops,
             dims,
             factors,
@@ -520,10 +542,10 @@ impl HierarchyF32 {
             smoother: SmootherF32::LineZ,
             cheb: Vec::new(),
             line,
-            nu_pre,
-            nu_post,
-            omega: mg.relax_omega() as f32,
-        }
+            nu_pre: params.nu_pre,
+            nu_post: params.nu_post,
+            omega: params.omega as f32,
+        })
     }
 
     /// The historical shadow construction: narrow `mg`'s own levels and
@@ -554,6 +576,29 @@ impl HierarchyF32 {
             nu_post,
             omega: mg.relax_omega() as f32,
         }
+    }
+
+    /// 2-norm of the f64 residual `r` restricted down this hierarchy's
+    /// chain, finest first — [`SolverStats::level_residuals`] of a
+    /// mixed solve, which never needs the f64 hierarchy's levels.
+    fn level_norms(&self, r: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.dims.len());
+        out.push(norm(r));
+        let mut src = Vec::new();
+        for l in 0..self.dims.len() - 1 {
+            let mut coarse = vec![0.0; self.dims[l + 1].len()];
+            let fine = if l == 0 { r } else { &src };
+            restrict(
+                self.dims[l],
+                self.dims[l + 1],
+                self.factors[l],
+                fine,
+                &mut coarse,
+            );
+            out.push(norm(&coarse));
+            src = coarse;
+        }
+        out
     }
 
     /// Fresh scratch sized for this hierarchy.
@@ -792,16 +837,19 @@ impl Assembled {
     /// [`HierarchyF32::solve_correction`]. Falls back to
     /// [`Assembled::cg_core_mg`] from the current iterate when an outer
     /// pass stalls, so the error contract is exactly the f64 solver's.
+    /// Only that fallback touches `f64_mg`: it is built from
+    /// `mg_params` on the first stall and stays cached in the slot for
+    /// later solves.
     #[allow(clippy::too_many_arguments)] // internal kernel, wrapped by CgSolver
     pub(crate) fn cg_core_mixed(
         &self,
         rhs: &[f64],
         x: &mut [f64],
         params: &CgParams,
-        mg: &MgHierarchy,
-        ws: &mut MgWorkspace,
         h32: &HierarchyF32,
         ws32: &mut WorkspaceF32,
+        mg_params: &MgParams,
+        f64_mg: &mut LazyHierarchy,
     ) -> Result<SolverStats, SolveError> {
         // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
         let t0 = Instant::now();
@@ -878,6 +926,7 @@ impl Assembled {
             // finish in pure f64 from the current iterate. Robustness is
             // therefore never worse than the f64 path — only the speed
             // advantage is lost.
+            let (mg, ws) = f64_mg.get(self, mg_params)?;
             let mut fb = self.cg_core_mg(rhs, x, params, mg, ws)?;
             fb.precision = Precision::Mixed;
             fb.refinements = refinements;
@@ -911,7 +960,7 @@ impl Assembled {
         for ((rv, bv), av) in r.iter_mut().zip(rhs).zip(&ax) {
             *rv = bv - av;
         }
-        let level_residuals = mg.level_norms(&r, ws);
+        let level_residuals = h32.level_norms(&r);
         Ok(SolverStats {
             iterations: inner_iterations,
             residual,
@@ -961,14 +1010,31 @@ mod tests {
             crossover: usize::MAX,
             traj_stride: 1,
         };
-        let mg = MgHierarchy::build(&asm, &MgParams::with_exec(1, usize::MAX)).expect("hierarchy");
-        let mut ws = mg.workspace();
-        let h32 = HierarchyF32::build(&asm, &mg);
+        let mg_params = MgParams::with_exec(1, usize::MAX);
+        let mut f64_mg = LazyHierarchy::default();
+        let h32 = HierarchyF32::build(&asm, &mg_params, &mut f64_mg).expect("shadow");
         let mut ws32 = h32.workspace();
         let mut x = vec![asm.initial_guess; asm.dim.len()];
         let stats = asm
-            .cg_core_mixed(&asm.rhs, &mut x, &params, &mg, &mut ws, &h32, &mut ws32)
+            .cg_core_mixed(
+                &asm.rhs,
+                &mut x,
+                &params,
+                &h32,
+                &mut ws32,
+                &mg_params,
+                &mut f64_mg,
+            )
             .expect("mixed solve");
+        assert!(
+            !f64_mg.is_built(),
+            "a healthy mixed solve needs no f64 chain"
+        );
+        assert_eq!(
+            stats.level_residuals.len(),
+            h32.dims.len(),
+            "level residuals follow the shadow chain"
+        );
         (x, stats)
     }
 
@@ -1013,8 +1079,13 @@ mod tests {
         // paired with a line factorization per level.
         let p = test_problem(16, 16, 13);
         let asm = Assembled::build(&p).expect("assembly");
-        let mg = MgHierarchy::build(&asm, &MgParams::with_exec(1, usize::MAX)).expect("hierarchy");
-        let h32 = HierarchyF32::build(&asm, &mg);
+        let mut f64_mg = LazyHierarchy::default();
+        let h32 = HierarchyF32::build(&asm, &MgParams::with_exec(1, usize::MAX), &mut f64_mg)
+            .expect("shadow");
+        assert!(
+            !f64_mg.is_built(),
+            "the chain factors without the f64 mirror"
+        );
         assert!(h32.dims.len() >= 2, "expected a multi-level chain");
         assert!(
             h32.dims[1].nx < h32.dims[0].nx && h32.dims[1].nz < h32.dims[0].nz,

@@ -778,6 +778,47 @@ impl MgHierarchy {
     }
 }
 
+/// An [`MgHierarchy`] and its scratch, built on first use. The f64
+/// multigrid path asks for it on every solve; the mixed path asks only
+/// when a refinement pass stalls (or the f32 shadow has to mirror it),
+/// so a healthy mixed solve never pays for the f64 chain and its dense
+/// coarsest Cholesky.
+#[derive(Debug, Default)]
+pub(crate) struct LazyHierarchy(Option<(MgHierarchy, MgWorkspace)>);
+
+impl LazyHierarchy {
+    /// Whether the hierarchy has been built.
+    pub(crate) fn is_built(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// The smoother of the built hierarchy, if any.
+    pub(crate) fn smoother(&self) -> Option<Smoother> {
+        self.0.as_ref().map(|(mg, _)| mg.smoother())
+    }
+
+    /// The hierarchy for `fine`, building it with `params` on first use.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`MgHierarchy::build`]; nothing is cached on failure.
+    pub(crate) fn get(
+        &mut self,
+        fine: &Assembled,
+        params: &MgParams,
+    ) -> Result<(&MgHierarchy, &mut MgWorkspace), SolveError> {
+        let (mg, ws) = match &mut self.0 {
+            Some(built) => built,
+            empty => {
+                let mg = MgHierarchy::build(fine, params)?;
+                let ws = mg.workspace();
+                empty.insert((mg, ws))
+            }
+        };
+        Ok((mg, ws))
+    }
+}
+
 impl Assembled {
     /// Multigrid-preconditioned CG on `A·x = rhs`, warm-started from
     /// `x`: the twin of [`Assembled::cg_core`] with one V-cycle in place

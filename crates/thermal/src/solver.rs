@@ -168,7 +168,10 @@ pub struct SolverStats {
     pub cycles: usize,
     /// Final residual 2-norm restricted to each hierarchy level, finest
     /// first (empty for non-multigrid solves) — shows where in the grid
-    /// hierarchy the remaining error lives.
+    /// hierarchy the remaining error lives. A mixed-precision solve
+    /// restricts down its f32 shadow chain (fully coarsened, so fewer
+    /// levels than the f64 chain), or down the f64 chain when it fell
+    /// back to f64.
     pub level_residuals: Vec<f64>,
     /// The preconditioner that drove the iteration.
     pub preconditioner: Preconditioner,
@@ -967,7 +970,8 @@ impl CgSolver {
     /// tolerance (down to `1e-11` and beyond) is met against the f64
     /// residual. A mixed solve always preconditions with multigrid
     /// internally, whatever [`CgSolver::with_preconditioner`] says, and
-    /// falls back to the pure-f64 multigrid path if refinement stalls.
+    /// falls back to the pure-f64 multigrid path if refinement stalls;
+    /// the f64 multigrid hierarchy is built only for that fallback.
     #[must_use]
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
@@ -1093,18 +1097,18 @@ impl CgSolver {
         let mut x = vec![asm.initial_guess; asm.dim.len()];
         let stats = match (self.precision, self.precon) {
             (Precision::Mixed, _) => {
-                let mg = crate::multigrid::MgHierarchy::build(&asm, &self.mg_params())?;
-                let mut ws = mg.workspace();
-                let h32 = crate::kernels::HierarchyF32::build(&asm, &mg);
+                let mg_params = self.mg_params();
+                let mut f64_mg = crate::multigrid::LazyHierarchy::default();
+                let h32 = crate::kernels::HierarchyF32::build(&asm, &mg_params, &mut f64_mg)?;
                 let mut ws32 = h32.workspace();
                 asm.cg_core_mixed(
                     &asm.rhs,
                     &mut x,
                     &self.params(),
-                    &mg,
-                    &mut ws,
                     &h32,
                     &mut ws32,
+                    &mg_params,
+                    &mut f64_mg,
                 )?
             }
             (Precision::F64, Preconditioner::Multigrid) => {

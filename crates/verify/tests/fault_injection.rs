@@ -14,7 +14,10 @@
 
 use tsc_thermal::electrothermal::{solve_electrothermal_with, ElectrothermalError, LeakageModel};
 use tsc_thermal::fault::{self, FaultKind, FaultPlan};
-use tsc_thermal::{CgSolver, Heatsink, MgSolver, Preconditioner, Problem, SolveError, SorSolver};
+use tsc_thermal::{
+    CgSolver, Heatsink, MgSolver, Precision, Preconditioner, Problem, SolveContext, SolveError,
+    SorSolver,
+};
 use tsc_units::{Length, Power, TempDelta, Temperature, ThermalConductivity};
 
 fn fixture() -> Problem {
@@ -54,6 +57,18 @@ const SOLVERS: [(&str, SolverFn); 4] = [
     ("sor", |p| SorSolver::new().solve(p)),
     ("mg", |p| MgSolver::new().solve(p)),
 ];
+
+/// The production configuration: f64 iterative refinement around the
+/// f32 MG-PCG. Its refinement budget is not an iteration cap (running
+/// out of passes falls back to f64 MG-PCG by design), so it sits out
+/// the budget-truncation test and joins every data-corrupting one.
+const MIXED: (&str, SolverFn) = ("cg-mixed", |p| mixed_solver().solve(p));
+
+fn mixed_solver() -> CgSolver {
+    CgSolver::new()
+        .with_preconditioner(Preconditioner::Multigrid)
+        .with_precision(Precision::Mixed)
+}
 
 /// The core contract: under any armed fault, a solver either returns a
 /// typed error, or — when the plan's trigger never fired (e.g. the
@@ -98,7 +113,7 @@ fn assert_fault_surfaces(label: &str, solve: SolverFn, plan: FaultPlan) {
 
 #[test]
 fn seeded_faults_never_yield_silent_ok() {
-    for (label, solve) in SOLVERS {
+    for (label, solve) in SOLVERS.into_iter().chain([MIXED]) {
         for seed in 0..seed_count() {
             assert_fault_surfaces(label, solve, FaultPlan::from_seed(seed).targeting_solve(0));
         }
@@ -107,7 +122,7 @@ fn seeded_faults_never_yield_silent_ok() {
 
 #[test]
 fn poisoned_iterates_diverge_in_every_solver() {
-    for (label, solve) in SOLVERS {
+    for (label, solve) in SOLVERS.into_iter().chain([MIXED]) {
         for kind in [FaultKind::PoisonCellNan, FaultKind::PoisonCellInf] {
             let plan = FaultPlan {
                 kind,
@@ -131,7 +146,7 @@ fn poisoned_iterates_diverge_in_every_solver() {
 
 #[test]
 fn corrupted_residuals_diverge_in_every_solver() {
-    for (label, solve) in SOLVERS {
+    for (label, solve) in SOLVERS.into_iter().chain([MIXED]) {
         for kind in [FaultKind::ResidualNan, FaultKind::ResidualInf] {
             let plan = FaultPlan {
                 kind,
@@ -184,6 +199,59 @@ fn truncated_budgets_surface_as_not_converged() {
             ),
             other => panic!("{label}: truncated budget must be NotConverged, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn mixed_stall_builds_the_f64_hierarchy_once_and_still_converges() {
+    // A refinement pass reported as not contracting must hand over to
+    // f64 MG-PCG from the current iterate: the context builds the f64
+    // hierarchy then, keeps it for the next stall, and the answer still
+    // meets the tolerance.
+    let stall = FaultPlan {
+        kind: FaultKind::ResidualStall,
+        target_solve: 0,
+        trigger_iteration: 1,
+        cell_position: 0.0,
+    };
+    let tol = 1e-9;
+    let solver = mixed_solver().with_tolerance(tol);
+    let mut p = fixture();
+    let mut ctx = SolveContext::new();
+    for round in 0..2 {
+        fault::arm(stall);
+        let result = ctx.solve(&p, &solver);
+        let injections = fault::injections();
+        fault::disarm();
+        assert_eq!(injections, 1, "round {round}: the stall must fire");
+        let sol = result.expect("a stalled pass falls back to f64 and converges");
+        assert_eq!(sol.stats.precision, Precision::Mixed);
+        assert!(
+            sol.stats.residual <= tol,
+            "round {round}: residual {}",
+            sol.stats.residual
+        );
+        let reference = CgSolver::new()
+            .with_tolerance(tol)
+            .solve(&p)
+            .expect("clean");
+        let max_dev = sol
+            .temperatures
+            .iter_kelvin()
+            .zip(reference.temperatures.iter_kelvin())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0_f64, f64::max);
+        assert!(
+            max_dev < 1e-6,
+            "round {round}: {max_dev} K off the reference"
+        );
+        let stats = ctx.stats();
+        assert_eq!(stats.hierarchy_builds, 1, "one f32 shadow");
+        assert_eq!(
+            stats.fallback_hierarchy_builds, 1,
+            "round {round}: the f64 hierarchy is built on the first stall and cached"
+        );
+        p.add_power(3, 3, 5, Power::from_watts(0.5));
     }
 }
 
