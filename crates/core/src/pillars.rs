@@ -58,6 +58,13 @@ impl PillarPlan {
 /// pillars only in its remaining 60 % — the bank gaps, exactly where the
 /// placer threads them.
 ///
+/// Costs O(cells² + touched cells): each macro visits only the index
+/// range of cells its rect spans, widened by one cell per side so float
+/// rounding at a cell edge cannot drop an overlap, and the exact
+/// [`Rect::intersection`] test decides each one. Overlap areas
+/// accumulate per cell in unit order, so every sum is the same float sum
+/// as intersecting every macro with every cell.
+///
 /// # Panics
 ///
 /// Panics if `budget` is not within `[0, 1)` or macros cover the die.
@@ -67,18 +74,42 @@ pub fn uniform_routable_map(design: &Design, budget: Ratio, cells: usize) -> Gri
         budget.fraction() >= 0.0 && budget.fraction() < 1.0,
         "pillar budget must be within [0, 1), got {budget}"
     );
+    let die = &design.die;
+    let mut covered = Grid2::filled(cells, cells, 0.0);
+    let cell_rects = Grid2::from_fn(cells, cells, |i, j| covered.cell_rect(die, i, j));
+    // Index range of the cells a macro's [lo, hi] extent can touch along
+    // one axis, one cell wider on each side.
+    let span = |lo: f64, hi: f64, origin: f64, extent: f64| {
+        let cell = |v: f64| ((v - origin) / extent * cells as f64).floor();
+        let first = (cell(lo) - 1.0).max(0.0) as usize;
+        let last = ((cell(hi) + 2.0).max(0.0) as usize).min(cells);
+        first..last
+    };
+    for u in design.units.iter().filter(|u| u.is_macro) {
+        let r = &u.rect;
+        let xs = span(
+            r.min_x().meters(),
+            r.max_x().meters(),
+            die.min_x().meters(),
+            die.width().meters(),
+        );
+        let ys = span(
+            r.min_y().meters(),
+            r.max_y().meters(),
+            die.min_y().meters(),
+            die.height().meters(),
+        );
+        for j in ys {
+            for i in xs.clone() {
+                if let Some(ov) = r.intersection(&cell_rects[(i, j)]) {
+                    covered[(i, j)] += ov.area().square_meters();
+                }
+            }
+        }
+    }
     // Per-cell routable fraction = 1 − macro coverage.
-    let routable = Grid2::from_fn(cells, cells, |i, j| {
-        let cell = Grid2::<f64>::filled(cells, cells, 0.0).cell_rect(&design.die, i, j);
-        let covered: f64 = design
-            .units
-            .iter()
-            .filter(|u| u.is_macro)
-            .filter_map(|u| u.rect.intersection(&cell))
-            .map(|ov| ov.area().square_meters())
-            .sum();
-        (1.0 - covered / cell.area().square_meters()).max(0.0)
-    });
+    let cell_area = cell_rects[(0, 0)].area().square_meters();
+    let routable = covered.map(|&c| (1.0 - c / cell_area).max(0.0));
     let total_routable: f64 = routable.iter().sum();
     assert!(total_routable > 0.0, "macros cover the entire die");
     // Scale so the die-average equals the budget.

@@ -271,7 +271,7 @@ pub fn build_hetero(designs: &[&Design], config: &StackConfig) -> Stack3d {
         BULK_SILICON.conductivity.lateral,
     );
     // Per-tier slabs.
-    for (t, &dev_k) in device_layers.iter().enumerate() {
+    for &dev_k in &device_layers {
         p.set_layer_conductivity(
             dev_k,
             DEVICE_SILICON_THIN.conductivity.vertical,
@@ -288,12 +288,8 @@ pub fn build_hetero(designs: &[&Design], config: &StackConfig) -> Stack3d {
             config.beol.upper.lateral,
         );
         p.set_layer_conductivity(dev_k + 3, config.beol.ilv.vertical, config.beol.ilv.lateral);
-        // Power map of this tier (diluted when the footprint grew).
-        let map = designs[t]
-            .power_map(n, n, config.utilization[t])
-            .map(|&f| f * config.power_scale);
-        p.add_flux_map(dev_k, &map);
     }
+    paint_power(&mut p, &device_layers, designs, config);
     // Pillars: vertical-inclusion blend in every BEOL/ILV cell.
     if let Some(map) = &config.pillar_map {
         let resampled;
@@ -303,18 +299,19 @@ pub fn build_hetero(designs: &[&Design], config: &StackConfig) -> Stack3d {
             resampled = map.resampled(n, n);
             &resampled
         };
+        // The derated pillar fraction of each column, once for all of
+        // its BEOL/ILV layers.
+        let fractions = map.map(|&f| {
+            let f = f.clamp(0.0, 1.0);
+            (f > 0.0).then(|| {
+                f * pillar_efficiency(f, config.pillar_pitch, config.pillar_k, &config.beol)
+            })
+        });
         for &k in &beol_layers {
             for j in 0..n {
                 for i in 0..n {
-                    let f = map[(i, j)].clamp(0.0, 1.0);
-                    if f > 0.0 {
-                        let eta = pillar_efficiency(
-                            f,
-                            config.pillar_pitch,
-                            config.pillar_k,
-                            &config.beol,
-                        );
-                        p.blend_vertical_inclusion(i, j, k, f * eta, config.pillar_k);
+                    if let Some(fraction) = fractions[(i, j)] {
+                        p.blend_vertical_inclusion(i, j, k, fraction, config.pillar_k);
                     }
                 }
             }
@@ -355,6 +352,12 @@ pub fn repower(stack: &mut Stack3d, design: &Design, config: &StackConfig) {
 
 /// Heterogeneous-stack twin of [`repower`]: one design per tier.
 ///
+/// Only the power maps are repainted, one rasterization per distinct
+/// (design, utilization) pair among the tiers: a uniform-utilization
+/// repower of a stack of one design costs a single map, bitwise equal
+/// to painting every tier separately. The config's pillar map and
+/// conductivity knobs are not read.
+///
 /// # Panics
 ///
 /// See [`repower`].
@@ -379,11 +382,45 @@ pub fn repower_hetero(stack: &mut Stack3d, designs: &[&Design], config: &StackCo
         dim.ny
     );
     stack.problem.clear_power();
-    for (t, &dev_k) in stack.layout.device_layers.iter().enumerate() {
-        let map = designs[t]
-            .power_map(n, n, config.utilization[t])
-            .map(|&f| f * config.power_scale);
-        stack.problem.add_flux_map(dev_k, &map);
+    paint_power(
+        &mut stack.problem,
+        &stack.layout.device_layers,
+        designs,
+        config,
+    );
+}
+
+/// Adds each tier's power map (diluted by `config.power_scale` when the
+/// footprint grew) to its device layer. A map is rasterized once per
+/// distinct (design, utilization) pair and reused for every tier that
+/// repeats the pair, so a uniform stack paints one map however tall it
+/// is. Designs compare by identity; utilizations by their bits.
+fn paint_power(
+    problem: &mut Problem,
+    device_layers: &[usize],
+    designs: &[&Design],
+    config: &StackConfig,
+) {
+    let n = config.lateral_cells;
+    let mut painted: Vec<(&Design, u64, Grid2<f64>)> = Vec::new();
+    for ((&dev_k, &design), &utilization) in
+        device_layers.iter().zip(designs).zip(&config.utilization)
+    {
+        let bits = utilization.fraction().to_bits();
+        let slot = match painted
+            .iter()
+            .position(|(d, b, _)| core::ptr::eq(*d, design) && *b == bits)
+        {
+            Some(slot) => slot,
+            None => {
+                let map = design
+                    .power_map(n, n, utilization)
+                    .map(|&f| f * config.power_scale);
+                painted.push((design, bits, map));
+                painted.len() - 1
+            }
+        };
+        problem.add_flux_map(dev_k, &painted[slot].2);
     }
 }
 

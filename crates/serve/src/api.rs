@@ -247,14 +247,19 @@ impl SolveRequest {
                 (BeolProperties::with_dummy_fill(spend), None)
             }
         };
-        let utilization = Ratio::from_percent(self.utilization_percent);
         let mut config = StackConfig::uniform(self.tiers, beol, self.heatsink)
             .with_lateral_cells(self.lateral_cells)
-            .with_utilizations(vec![utilization; self.tiers]);
+            .with_utilizations(self.utilizations());
         if let Some(map) = pillar_map {
             config = config.with_pillar_map(map);
         }
         config
+    }
+
+    /// Per-tier utilizations: the only part of [`Self::stack_config`]
+    /// that differs between the items of one solve group.
+    fn utilizations(&self) -> Vec<Ratio> {
+        vec![Ratio::from_percent(self.utilization_percent); self.tiers]
     }
 }
 
@@ -774,23 +779,27 @@ fn execute_solve_group(
         Err(e) => return jobs.iter().map(|_| Err((500, e.clone()))).collect(),
     };
 
-    // One stack for the whole group, keyed (initially) by the first
-    // item's identity; one context checkout for the whole group.
+    // One stack config for the whole group: every item shares the
+    // operator, so items differ only in the utilizations repainted
+    // below. One stack, keyed (initially) by the first item's identity;
+    // one context checkout for the whole group.
     let stack_id = jobs[0].canonical_id();
     let stack_key = fnv1a(stack_id.as_bytes());
     let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match pools.stacks.take(stack_key, &stack_id) {
+        let config = reqs[0].stack_config(design);
+        let stack = match pools.stacks.take(stack_key, &stack_id) {
             Some(stack) => {
                 metrics.stack_cache_hits.inc();
                 stack
             }
             None => {
                 metrics.stack_cache_misses.inc();
-                stack::build(design, &reqs[0].stack_config(design))
+                stack::build(design, &config)
             }
-        }
+        };
+        (stack, config)
     }));
-    let Ok(mut stack) = built else {
+    let Ok((mut stack, mut config)) = built else {
         metrics.worker_panics.inc();
         return jobs
             .iter()
@@ -828,7 +837,8 @@ fn execute_solve_group(
         let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut powers = Vec::with_capacity(reqs.len());
             for req in reqs {
-                stack::repower(&mut stack, design, &req.stack_config(design));
+                config.utilization = req.utilizations();
+                stack::repower(&mut stack, design, &config);
                 powers.push(stack.problem.power_flat().to_vec());
             }
             tsc_thermal::affine_family(&powers)
@@ -839,7 +849,8 @@ fn execute_solve_group(
                 let anchors = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                     || -> Result<(Solution, Solution), (u16, String)> {
                         let mut solve_anchor = |stack: &mut _, which: usize| {
-                            stack::repower(stack, design, &reqs[which].stack_config(design));
+                            config.utilization = reqs[which].utilizations();
+                            stack::repower(stack, design, &config);
                             ctx.solve(&stack.problem, &stack::hot_loop_solver())
                                 .map_err(|e| (500, format!("solve failed: {e}")))
                         };
@@ -903,7 +914,8 @@ fn execute_solve_group(
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<String, (u16, String)> {
                 if i > 0 || repainted {
-                    stack::repower(&mut stack, design, &req.stack_config(design));
+                    config.utilization = req.utilizations();
+                    stack::repower(&mut stack, design, &config);
                 }
                 let solution = ctx
                     .solve(&stack.problem, &stack::hot_loop_solver())
@@ -991,6 +1003,10 @@ fn accumulate_context_delta(metrics: &Metrics, before: &ContextStats, after: &Co
     metrics
         .ctx_hierarchy_builds
         .add(d(after.hierarchy_builds, before.hierarchy_builds));
+    metrics.ctx_fallback_hierarchy_builds.add(d(
+        after.fallback_hierarchy_builds,
+        before.fallback_hierarchy_builds,
+    ));
     metrics
         .ctx_warm_starts
         .add(d(after.warm_starts, before.warm_starts));
@@ -1325,5 +1341,92 @@ mod tests {
             1,
             "ungroupable jobs bypass the grouped path"
         );
+    }
+
+    fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        values.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn group_config_with_item_utilization_builds_the_item_stack() {
+        // execute_solve_group derives one StackConfig per group and only
+        // swaps in each item's utilizations; that must build exactly the
+        // stack the item's own config builds.
+        for strategy in ["scaffolding", "vertical-only", "conventional"] {
+            let item = |u: f64| {
+                let body = format!(
+                    r#"{{"design": "gemmini", "tiers": 3, "lateral_cells": 12,
+                        "strategy": "{strategy}", "area_budget_percent": 12.5,
+                        "utilization_percent": {u}}}"#
+                );
+                let Ok(ApiJob::Solve(req)) = ApiJob::parse("/v1/solve", body.as_bytes()).unwrap()
+                else {
+                    panic!("{strategy}: not a solve request");
+                };
+                req
+            };
+            let (first, other) = (item(100.0), item(72.0));
+            let design = lookup_design("gemmini").unwrap();
+            let mut group = first.stack_config(design);
+            group.utilization = other.utilizations();
+            let own = other.stack_config(design);
+            assert_eq!(
+                group.pillar_map.as_ref().map(|m| bits(m.iter().copied())),
+                own.pillar_map.as_ref().map(|m| bits(m.iter().copied())),
+                "{strategy}: pillar map"
+            );
+
+            let (a, b) = (stack::build(design, &group), stack::build(design, &own));
+            assert_eq!(
+                bits(a.problem.power_flat().iter().copied()),
+                bits(b.problem.power_flat().iter().copied()),
+                "{strategy}: power"
+            );
+            let dim = a.problem.dim();
+            assert_eq!(dim, b.problem.dim());
+            let cells = || {
+                (0..dim.nz).flat_map(move |k| {
+                    (0..dim.ny).flat_map(move |j| (0..dim.nx).map(move |i| (i, j, k)))
+                })
+            };
+            for (i, j, k) in cells() {
+                assert_eq!(
+                    a.problem.kz_at(i, j, k).get().to_bits(),
+                    b.problem.kz_at(i, j, k).get().to_bits(),
+                    "{strategy}: kz at ({i}, {j}, {k})"
+                );
+                assert_eq!(
+                    a.problem.kxy_at(i, j, k).get().to_bits(),
+                    b.problem.kxy_at(i, j, k).get().to_bits(),
+                    "{strategy}: kxy at ({i}, {j}, {k})"
+                );
+            }
+            assert_eq!(
+                operator_fingerprint(&a.problem),
+                operator_fingerprint(&b.problem)
+            );
+        }
+    }
+
+    #[test]
+    fn hierarchy_builds_reach_the_exposition() {
+        let job = ApiJob::parse(
+            "/v1/solve",
+            br#"{"design": "gemmini", "tiers": 2, "lateral_cells": 6}"#,
+        )
+        .unwrap()
+        .unwrap();
+        let pools = ServicePools::new(2);
+        let metrics = Metrics::default();
+        job.execute(&pools, &metrics).expect("solves");
+        metrics.record_request("solve", 200);
+        // A healthy mixed solve builds the f32 shadow once and never
+        // falls back to the f64 hierarchy.
+        assert_eq!(metrics.ctx_hierarchy_builds.get(), 1);
+        assert_eq!(metrics.ctx_fallback_hierarchy_builds.get(), 0);
+        let text = metrics.render();
+        crate::validate_exposition(&text).expect("exposition must validate");
+        assert!(text.contains("tsc_context_hierarchy_builds_total 1\n"));
+        assert!(text.contains("tsc_context_fallback_hierarchy_builds_total 0\n"));
     }
 }

@@ -219,6 +219,7 @@ pub struct Metrics {
     pub ctx_operator_reuses: Counter,
     pub ctx_assemblies: Counter,
     pub ctx_hierarchy_builds: Counter,
+    pub ctx_fallback_hierarchy_builds: Counter,
     pub ctx_warm_starts: Counter,
     // Transient session rollups (`POST /v1/transient`).
     pub transient_sessions_active: Gauge,
@@ -380,7 +381,7 @@ impl Metrics {
             ));
         }
 
-        let counters: [(&str, &str, u64); 36] = [
+        let counters: [(&str, &str, u64); 38] = [
             (
                 "tsc_coalesced_requests_total",
                 "Requests served by piggybacking on an identical in-flight solve.",
@@ -455,6 +456,16 @@ impl Metrics {
                 "tsc_context_assemblies_total",
                 "Full operator assemblies performed by pooled contexts.",
                 self.ctx_assemblies.get(),
+            ),
+            (
+                "tsc_context_hierarchy_builds_total",
+                "Multigrid hierarchies built by pooled contexts (the f32 shadow on the mixed path).",
+                self.ctx_hierarchy_builds.get(),
+            ),
+            (
+                "tsc_context_fallback_hierarchy_builds_total",
+                "f64 multigrid hierarchies built on demand because mixed-precision refinement stalled.",
+                self.ctx_fallback_hierarchy_builds.get(),
             ),
             (
                 "tsc_context_warm_starts_total",
