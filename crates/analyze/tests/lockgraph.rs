@@ -100,6 +100,7 @@ fn workspace_lock_graph_covers_serve_and_is_acyclic() {
         "Shared.shutdown_flag",
         "RouterShared.table",
         "RouterShared.shutdown_flag",
+        "UpstreamPool.idle",
     ] {
         assert!(
             names.contains(&expected),

@@ -11,6 +11,17 @@
 //! overloaded — try another shard), while [`ClientError::Malformed`]
 //! means the peer spoke, but not HTTP — a bad gateway, not a candidate
 //! for blind retry.
+//!
+//! A client is one kept-alive connection: the router parks idle clients
+//! per shard and reuses them.  A reused connection the peer closed while
+//! idle fails with [`ClientError::Io`] before any response byte arrives
+//! ([`HttpClient::response_started`] is then false), which is the
+//! router's cue to redial rather than to treat the shard as dead.
+//!
+//! Each request goes out as a single write (head and body in one
+//! buffer): with `TCP_NODELAY` on, two writes become two segments, and
+//! the server would parse a partial head and sleep again before the
+//! body arrived.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -90,8 +101,8 @@ impl HttpClient {
         stream
             .set_read_timeout(Some(Duration::from_millis(100)))
             .map_err(|_| ClientError::Io)?;
-        // The head and body go out as two small writes; without
-        // TCP_NODELAY, Nagle + delayed ACK stalls each request ~40ms.
+        // Never let Nagle + delayed ACK hold a request back ~40 ms on a
+        // kept-alive connection.
         stream.set_nodelay(true).map_err(|_| ClientError::Io)?;
         Ok(HttpClient {
             stream,
@@ -124,11 +135,20 @@ impl HttpClient {
             head.push_str(&format!("{name}: {value}\r\n"));
         }
         head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        let mut message = head.into_bytes();
+        message.extend_from_slice(body);
         self.stream
-            .write_all(head.as_bytes())
+            .write_all(&message)
             .map_err(|_| ClientError::Io)?;
-        self.stream.write_all(body).map_err(|_| ClientError::Io)?;
         self.read_response()
+    }
+
+    /// Whether any byte of the last request's response arrived.  After a
+    /// [`ClientError::Io`] this tells a peer that closed the connection
+    /// before answering (false) from one that died mid-response (true).
+    #[must_use]
+    pub fn response_started(&self) -> bool {
+        !self.buf.is_empty()
     }
 
     fn read_response(&mut self) -> Result<HttpResponse, ClientError> {
@@ -335,6 +355,64 @@ mod tests {
             one_shot(addr, "GET", "/x", &[], b"").unwrap_err(),
             ClientError::Malformed
         );
+    }
+
+    #[test]
+    fn head_and_body_arrive_in_one_read() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            // Read exactly once: a request sent as one write arrives whole.
+            let mut buf = [0u8; 8192];
+            let n = std::io::Read::read(&mut sock, &mut buf).expect("read");
+            sock.write_all(b"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n")
+                .expect("reply");
+            buf[..n].to_vec()
+        });
+        let body = br#"{"design": "gemmini-memory", "tiers": 2}"#;
+        let mut client = HttpClient::connect(addr, Duration::from_secs(1)).expect("connect");
+        let resp = client
+            .request("POST", "/v1/solve", &[("x-priority", "high")], body)
+            .expect("response");
+        assert_eq!(resp.status, 204);
+        assert!(
+            !client.response_started(),
+            "a complete response is consumed"
+        );
+        let received = server.join().expect("server thread");
+        let text = String::from_utf8(received).expect("utf-8 request");
+        assert!(text.starts_with("POST /v1/solve HTTP/1.1\r\n"), "{text:?}");
+        assert!(text.contains("x-priority: high\r\n"), "{text:?}");
+        assert!(
+            text.ends_with(std::str::from_utf8(body).unwrap()),
+            "one read holds head and body: {text:?}"
+        );
+    }
+
+    #[test]
+    fn close_before_any_response_byte_is_distinguishable() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let mut sink = [0u8; 4096];
+            let _ = std::io::Read::read(&mut sock, &mut sink);
+            sock.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+                .expect("first reply");
+            // Close while idle, as a server's idle timeout does.
+        });
+        let mut client = HttpClient::connect(addr, Duration::from_secs(1)).expect("connect");
+        assert_eq!(
+            client.request("GET", "/a", &[], b"").expect("first").body,
+            b"ok"
+        );
+        server.join().expect("server thread");
+        assert_eq!(
+            client.request("GET", "/b", &[], b"").unwrap_err(),
+            ClientError::Io
+        );
+        assert!(!client.response_started());
     }
 
     #[test]

@@ -398,13 +398,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Multi-byte UTF-8 passes through unchanged; find the
-                // char boundary via the str view.
-                let rest = core::str::from_utf8(&b[*pos..])
+                // Copy the whole run up to the next quote or backslash in
+                // one step.  Both are ASCII, so the run ends on a char
+                // boundary and multi-byte UTF-8 passes through unchanged;
+                // validating only the run keeps the scan linear.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                let run = core::str::from_utf8(&b[*pos..end])
                     .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let c = rest.chars().next().ok_or("empty string tail")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -556,6 +561,58 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("1e999").is_err(), "non-finite numbers rejected");
+    }
+
+    #[test]
+    fn parse_strings_decode_escapes_and_multibyte_runs() {
+        let doc = parse(
+            r#"{"k\"ey": "a\"b\\c\/d\n\r\t\u00e9\u4e2d|é中😀 tail", "e": "", "m": "日本\n語"}"#,
+        )
+        .expect("parses");
+        assert_eq!(
+            doc,
+            Json::Object(vec![
+                (
+                    "k\"ey".to_string(),
+                    Json::Str("a\"b\\c/d\n\r\t\u{e9}\u{4e2d}|é中😀 tail".to_string())
+                ),
+                ("e".to_string(), Json::Str(String::new())),
+                ("m".to_string(), Json::Str("日本\n語".to_string())),
+            ])
+        );
+        // Escapes that name no scalar value, or are cut short, are errors.
+        for bad in [
+            r#""\ud800""#,
+            r#""\u12""#,
+            r#""\q""#,
+            r#""trailing \"#,
+            r#""中文 unterminated"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+        // Multi-byte text survives emit → parse unchanged.
+        let text = "ß∂ƒ © 中文 😀 \"quoted\" \\ back\tslash";
+        let back = parse(&Json::from(text).compact()).expect("round trip");
+        assert_eq!(back, Json::Str(text.to_string()));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MiB string: a scan that revisits the rest of the document
+        // per character takes minutes here; a linear one, milliseconds.
+        let payload = "a中".repeat(1 << 18);
+        let doc = format!("{{\"s\": \"{payload}\\n\"}}");
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(
+            parsed.get("s").and_then(Json::as_str),
+            Some(format!("{payload}\n").as_str())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -62,6 +62,10 @@ pub mod rank {
     /// `RouterShared.jobs` — job-id → shard affinity map (routing
     /// decisions precede everything else on the shard).
     pub const ROUTER_JOBS: u16 = 15;
+    /// `UpstreamPool.idle` — a shard's parked keep-alive connections.  A
+    /// leaf: held only to push or pop a connection, never across I/O or
+    /// another lock.
+    pub const ROUTER_UPSTREAM: u16 = 17;
     /// `Shared.coalesce` — in-flight request coalescing map.
     pub const COALESCE: u16 = 20;
     /// `JobsHost.table` — the optimization-job table.  Sits above the

@@ -27,6 +27,19 @@
 //! * `/healthz` probes run on a background thread: a failing shard is
 //!   ejected from routing and readmitted when it answers again.
 //!
+//! Every upstream round trip (forwards, sub-batches, job submit and
+//! entry, job-owner probes, the `/metrics` fan-out and shutdown
+//! propagation) runs over a kept-alive connection from the shard's
+//! [`UpstreamPool`]: take a parked client or dial one, and park it again
+//! after a complete response without `Connection: close`.  A *reused*
+//! connection that fails with [`ClientError::Io`] before any response
+//! byte was closed by the shard while idle (its idle timeout), so the
+//! router redials the same shard once; that redial is neither an
+//! upstream error nor grounds for ejection.  Every other failure keeps
+//! the retry / eject / 502 handling below, and ejecting a shard drops its
+//! parked connections.  The tunnels and the health prober dial their own
+//! connections.
+//!
 //! Degradation is typed, never hung: exhausted retries and an empty
 //! ring answer 503 + `Retry-After`; a backend that responds with bytes
 //! that do not parse as HTTP answers 502 and is never retried (the
@@ -140,13 +153,15 @@ pub struct RouterMetrics {
     pub job_stickies_total: Counter,
     pub job_broadcasts_total: Counter,
     pub job_event_tunnels_total: Counter,
+    pub upstream_connects_total: Counter,
+    pub upstream_redials_total: Counter,
     pub healthy_shards: Gauge,
     pub shards: Gauge,
 }
 
 impl RouterMetrics {
     fn render(&self) -> String {
-        let counters: [(&str, &str, u64); 14] = [
+        let counters: [(&str, &str, u64); 16] = [
             (
                 "tsc_router_requests_total",
                 "Client requests handled by the router.",
@@ -213,6 +228,16 @@ impl RouterMetrics {
                 self.job_event_tunnels_total.get(),
             ),
             (
+                "tsc_router_upstream_connects_total",
+                "Upstream connections dialed because no idle kept-alive one was parked.",
+                self.upstream_connects_total.get(),
+            ),
+            (
+                "tsc_router_upstream_redials_total",
+                "Parked upstream connections found closed by the shard and redialed.",
+                self.upstream_redials_total.get(),
+            ),
+            (
                 "tsc_router_lock_poisoned_total",
                 "Router-process mutex guards recovered from a poisoned state.",
                 crate::locks::poisoned_total(),
@@ -258,6 +283,8 @@ struct RouterShared {
     /// [`JOB_AFFINITY_CAP`]; a missing id falls back to a broadcast
     /// probe, so eviction costs latency, never correctness.
     jobs: RankedMutex<HashMap<u64, usize>>,
+    /// One pool of idle keep-alive connections per shard.
+    upstreams: Vec<UpstreamPool>,
     healthy: Vec<AtomicBool>,
     metrics: RouterMetrics,
     addr: SocketAddr,
@@ -269,6 +296,55 @@ struct RouterShared {
 /// live working set; overflow evicts an arbitrary entry and the next
 /// lookup for it re-resolves by broadcast.
 const JOB_AFFINITY_CAP: usize = 4096;
+
+/// Most idle keep-alive connections parked per shard.  Each parked
+/// connection holds one of the shard's connection threads, so the cap
+/// stays small; a surplus connection is closed instead of parked.
+const IDLE_PER_SHARD: usize = 4;
+
+/// A shard's idle keep-alive connections, most recently parked last.
+struct UpstreamPool {
+    idle: RankedMutex<Vec<HttpClient>>,
+}
+
+impl UpstreamPool {
+    fn new() -> UpstreamPool {
+        UpstreamPool {
+            idle: RankedMutex::new(Vec::new(), rank::ROUTER_UPSTREAM, "UpstreamPool.idle"),
+        }
+    }
+
+    fn take(&self) -> Option<HttpClient> {
+        self.idle.lock().pop()
+    }
+
+    /// Park `client` after a complete response that does not ask for the
+    /// connection to close, unless the pool is full; otherwise the client
+    /// drops (closing its connection) after the guard is released.
+    fn settle(
+        &self,
+        client: HttpClient,
+        outcome: Result<HttpResponse, ClientError>,
+    ) -> Result<HttpResponse, ClientError> {
+        if outcome
+            .as_ref()
+            .is_ok_and(|response| !response.wants_close())
+        {
+            let mut idle = self.idle.lock();
+            if idle.len() < IDLE_PER_SHARD {
+                idle.push(client);
+            }
+        }
+        outcome
+    }
+
+    /// Close every parked connection (the shard was ejected or the
+    /// router is stopping).
+    fn clear(&self) {
+        let parked = std::mem::take(&mut *self.idle.lock());
+        drop(parked);
+    }
+}
 
 /// How a request selects its shard.
 #[derive(Debug, Clone, Copy)]
@@ -302,6 +378,9 @@ impl RouterShared {
                 self.metrics.shard_ejections_total.inc();
                 self.metrics.healthy_shards.set(self.healthy_count() as i64);
             }
+        }
+        if let Some(pool) = self.upstreams.get(shard) {
+            pool.clear();
         }
     }
 
@@ -412,7 +491,13 @@ fn connect_backend(addr: &str, timeout: Duration) -> Result<HttpClient, ClientEr
     HttpClient::connect(addr, timeout)
 }
 
-/// One upstream round trip to `shard`: connect, send, read.
+/// One upstream round trip to `shard` over a kept-alive connection.
+///
+/// A parked connection is reused when there is one.  If it fails with
+/// [`ClientError::Io`] before any response byte, the shard closed it
+/// while idle: redial once, counted as a redial and not as an upstream
+/// error.  Every other outcome, and any failure on the fresh connection,
+/// is the caller's to classify.
 fn upstream_request(
     shared: &RouterShared,
     shard: usize,
@@ -422,9 +507,24 @@ fn upstream_request(
     body: &[u8],
     deadline: Duration,
 ) -> Result<HttpResponse, ClientError> {
+    let pool = &shared.upstreams[shard];
+    let round_trip = |mut client: HttpClient| {
+        let outcome = client.request(method, path, headers, body);
+        (client, outcome)
+    };
+    if let Some(parked) = pool.take() {
+        match round_trip(parked.with_deadline(deadline)) {
+            (client, Err(ClientError::Io)) if !client.response_started() => {
+                shared.metrics.upstream_redials_total.inc();
+            }
+            (client, outcome) => return pool.settle(client, outcome),
+        }
+    }
     let addr = &shared.config.backends[shard];
-    let mut client = connect_backend(addr, shared.config.connect_timeout)?.with_deadline(deadline);
-    client.request(method, path, headers, body)
+    let fresh = connect_backend(addr, shared.config.connect_timeout)?;
+    shared.metrics.upstream_connects_total.inc();
+    let (client, outcome) = round_trip(fresh.with_deadline(deadline));
+    pool.settle(client, outcome)
 }
 
 /// The outcome of a routed upstream request.
@@ -598,6 +698,11 @@ impl Router {
             ring,
             table,
             jobs: RankedMutex::new(HashMap::new(), rank::ROUTER_JOBS, "RouterShared.jobs"),
+            upstreams: config
+                .backends
+                .iter()
+                .map(|_| UpstreamPool::new())
+                .collect(),
             healthy,
             metrics: RouterMetrics::default(),
             addr,
@@ -659,6 +764,11 @@ impl Router {
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
+        // Close parked upstream connections now, so the backends' connection
+        // threads see EOF instead of idling out.
+        for pool in &self.shared.upstreams {
+            pool.clear();
+        }
     }
 }
 
@@ -684,6 +794,9 @@ fn probe_loop(shared: &Arc<RouterShared>) {
                 .map(|r| r.status == 200)
                 .unwrap_or(false);
             let was = shared.healthy[shard].swap(alive, Ordering::Relaxed);
+            if !alive {
+                shared.upstreams[shard].clear();
+            }
             if was && !alive {
                 shared.metrics.shard_ejections_total.inc();
             } else if !was && alive {
@@ -1141,14 +1254,13 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
     // per-item 400 — router and single-server behaviour stay identical.
     let mut assignment: Vec<Option<usize>> = Vec::with_capacity(items.len());
     for item in items {
-        let raw = item.pretty();
         let endpoint = item
             .get("endpoint")
             .and_then(Json::as_str)
             .unwrap_or("solve");
         let key = match ApiJob::parse_item(endpoint, item) {
             Ok(job) => job.affinity_key(),
-            Err(_) => fnv1a(raw.as_bytes()),
+            Err(_) => fnv1a(item.pretty().as_bytes()),
         };
         assignment.push(shared.pick_shard(RouteKey::Affinity(key), None));
     }
@@ -1164,45 +1276,34 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
     }
 
     let headers = forwarded_headers(request);
+    let header_refs = as_header_refs(&headers);
     let mut merged: Vec<Option<Json>> = vec![None; items.len()];
 
+    let send = |(shard, indices): (usize, Vec<usize>)| {
+        let sub_items: Vec<Json> = indices.iter().map(|i| items[*i].clone()).collect();
+        let body = Json::object()
+            .field("items", sub_items)
+            .pretty()
+            .into_bytes();
+        shared.metrics.batch_subbatches_total.inc();
+        let outcome =
+            forward_to_shard_with_retry(shared, shard, "POST", "/v1/batch", &header_refs, &body);
+        (indices, outcome)
+    };
     // Fan the sub-batches out concurrently — shards solve in parallel.
+    // The first goes out on this thread, so a batch that lands on one
+    // shard spawns no thread at all.
     let outcomes: Vec<(Vec<usize>, ForwardOutcome)> = thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|(shard, indices)| {
-                let sub_items: Vec<Json> = indices.iter().map(|i| items[*i].clone()).collect();
-                let body = Json::object()
-                    .field("items", sub_items)
-                    .pretty()
-                    .into_bytes();
-                let headers = &headers;
-                let shared = Arc::clone(shared);
-                scope.spawn(move || {
-                    shared.metrics.batch_subbatches_total.inc();
-                    // Route by a key pinned to this shard's group: use the
-                    // first item's affinity so retries of a dead shard
-                    // re-route the whole sub-batch coherently.
-                    let outcome = forward_to_shard_with_retry(
-                        &shared,
-                        shard,
-                        "POST",
-                        "/v1/batch",
-                        &as_header_refs(headers),
-                        &body,
-                    );
-                    (indices, outcome)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .unwrap_or((Vec::new(), ForwardOutcome::Unavailable))
-            })
-            .collect()
+        let mut groups = groups.into_iter();
+        let first = groups.next();
+        let handles: Vec<_> = groups.map(|group| scope.spawn(|| send(group))).collect();
+        let mut outcomes: Vec<_> = first.map(send).into_iter().collect();
+        outcomes.extend(handles.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or((Vec::new(), ForwardOutcome::Unavailable))
+        }));
+        outcomes
     });
 
     for (indices, outcome) in outcomes {
@@ -1348,13 +1449,19 @@ fn aggregate_metrics(shared: &Arc<RouterShared>) -> Response {
     let mut helps: std::collections::HashMap<String, String> = std::collections::HashMap::new();
     let mut scraped = 0usize;
 
-    for (shard, addr) in shared.config.backends.iter().enumerate() {
+    for shard in 0..shared.config.backends.len() {
         if !shared.is_healthy(shard) {
             continue;
         }
-        let exposition = connect_backend(addr, shared.config.connect_timeout)
-            .map(|c| c.with_deadline(Duration::from_secs(5)))
-            .and_then(|mut c| c.request("GET", "/metrics", &[], b""));
+        let exposition = upstream_request(
+            shared,
+            shard,
+            "GET",
+            "/metrics",
+            &[],
+            b"",
+            Duration::from_secs(5),
+        );
         let Ok(response) = exposition else { continue };
         if response.status != 200 {
             continue;

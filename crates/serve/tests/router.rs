@@ -209,8 +209,19 @@ fn aggregated_metrics_validate_and_sum_shard_counters() {
         (aggregated_solves - direct_sum).abs() < 0.5,
         "aggregated {aggregated_solves} != shard sum {direct_sum}"
     );
-    // Router-side series ride along in the same exposition.
+    // Router-side series ride along in the same exposition, including
+    // the upstream connection counters.
     assert!(text.contains("tsc_router_requests_total"));
+    for series in [
+        "tsc_router_upstream_connects_total",
+        "tsc_router_upstream_redials_total",
+    ] {
+        assert!(
+            parsed.samples.iter().any(|(name, _)| name == series),
+            "{series} missing from the aggregated exposition"
+        );
+        assert!(text.contains(&format!("# TYPE {series} counter")));
+    }
     assert!(text.contains("tsc_router_scraped_shards 2"));
     // Quantile gauges cannot be summed and must be dropped.
     assert!(!text.contains("_quantile"));
@@ -218,6 +229,69 @@ fn aggregated_metrics_validate_and_sum_shard_counters() {
     router.shutdown();
     backend_a.shutdown();
     backend_b.shutdown();
+}
+
+#[test]
+fn sequential_solves_reuse_one_upstream_connection_per_shard() {
+    let backend_a = start_backend(0);
+    let backend_b = start_backend(0);
+    let router = start_router(
+        vec![backend_a.addr().to_string(), backend_b.addr().to_string()],
+        Duration::from_millis(100),
+    );
+
+    for i in 0..20 {
+        let response = one_shot(router.addr(), "POST", "/v1/solve", &[], &keyed_solve(i));
+        assert_eq!(response.status, 200, "solve {i}: {}", response.body_str());
+    }
+    // Both shards served, each over the one connection dialed for its
+    // first request.
+    for backend in [&backend_a, &backend_b] {
+        assert!(backend.metrics().requests_for("solve", 200) > 0);
+    }
+    let connects = router.metrics().upstream_connects_total.get();
+    assert!(
+        connects <= 2,
+        "20 sequential solves dialed {connects} connections"
+    );
+    assert_eq!(router.metrics().upstream_redials_total.get(), 0);
+    assert_eq!(router.metrics().upstream_errors_total.get(), 0);
+
+    router.shutdown();
+    backend_a.shutdown();
+    backend_b.shutdown();
+}
+
+#[test]
+fn connection_closed_by_an_idle_shard_is_redialed_without_ejection() {
+    let backend = Server::start(ServerConfig {
+        workers: 1,
+        idle_timeout: Duration::from_millis(100),
+        ..ServerConfig::default()
+    })
+    .expect("bind backend");
+    let router = start_router(vec![backend.addr().to_string()], Duration::from_millis(100));
+
+    let first = one_shot(router.addr(), "POST", "/v1/solve", &[], SMALL_SOLVE);
+    assert_eq!(first.status, 200, "body: {}", first.body_str());
+    assert_eq!(router.metrics().upstream_connects_total.get(), 1);
+    let errors = router.metrics().upstream_errors_total.get();
+    let ejections = router.metrics().shard_ejections_total.get();
+    let redials = router.metrics().upstream_redials_total.get();
+
+    // The shard closes the parked connection once it has idled past its
+    // timeout (checked on its 200 ms read poll).
+    std::thread::sleep(Duration::from_millis(700));
+    let second = one_shot(router.addr(), "POST", "/v1/solve", &[], SMALL_SOLVE);
+    assert_eq!(second.status, 200, "body: {}", second.body_str());
+    assert_eq!(router.metrics().upstream_errors_total.get(), errors);
+    assert_eq!(router.metrics().shard_ejections_total.get(), ejections);
+    assert_eq!(router.metrics().upstream_redials_total.get(), redials + 1);
+    assert_eq!(router.metrics().upstream_connects_total.get(), 2);
+    assert_eq!(router.metrics().retries_total.get(), 0);
+
+    router.shutdown();
+    backend.shutdown();
 }
 
 #[test]
