@@ -1,13 +1,17 @@
 //! The dynamic half of the gate (`--features race-check` only): drives
-//! every solver of `tsc-thermal` through forced-parallel solves with the
-//! engine's write-set instrumentation live, then re-runs them under
-//! permuted band schedules and asserts bitwise-identical fields.
+//! every solver of `tsc-thermal` — Jacobi-CG, the mixed-precision
+//! multigrid path for steady solves and transient steps, and SOR —
+//! through forced-parallel solves with the engine's write-set
+//! instrumentation live, then re-runs them under permuted band
+//! schedules and asserts bitwise-identical fields.
 //!
 //! A detected race panics inside the engine (see `tsc_thermal::race`),
 //! which [`run`] reports as an `Err` so the gate binary exits nonzero.
 
+use tsc_geometry::Grid3;
 use tsc_thermal::race;
-use tsc_thermal::{CgSolver, Heatsink, MgSolver, Preconditioner, Problem, SorSolver};
+use tsc_thermal::transient::{capacity, TransientRun};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, SorSolver};
 use tsc_units::{HeatFlux, Length, ThermalConductivity};
 
 /// Threads forced onto every solve — enough bands to make interleaving
@@ -17,14 +21,14 @@ const THREADS: usize = 4;
 /// Schedule-perturbation seeds replayed against the unperturbed solve.
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-/// A reduced heterogeneous stack: silicon device slabs sandwiching a
-/// low-k BEOL-like slab, bottom heatsink, top-surface power — small
-/// enough to solve in milliseconds, layered enough that every band
-/// carries distinct coefficients.
-fn reduced_problem() -> Problem {
+/// A reduced heterogeneous stack, `lateral` cells on a side: silicon
+/// device slabs sandwiching a low-k BEOL-like slab, bottom heatsink,
+/// top-surface power — small enough to solve in milliseconds, layered
+/// enough that every band carries distinct coefficients.
+fn reduced_problem(lateral: usize) -> Problem {
     let mut p = Problem::uniform_block(
-        24,
-        24,
+        lateral,
+        lateral,
         8,
         Length::from_millimeters(1.0),
         Length::from_millimeters(1.0),
@@ -62,6 +66,21 @@ fn bits(
     Ok(sol.temperatures.iter_kelvin().map(f64::to_bits).collect())
 }
 
+/// Two mixed-precision transient steps on `p`, as raw bit patterns.
+/// Transient steps band only at the default parallel crossover, so `p`
+/// must have at least that many cells.
+fn transient_bits(p: &Problem) -> Result<Vec<u64>, String> {
+    let caps = Grid3::filled(p.dim(), capacity::SILICON);
+    let mut run = TransientRun::new(p, &caps, 1e-4, Heatsink::two_phase().ambient)
+        .map_err(|e| format!("staging failed: {e}"))?
+        .with_threads(THREADS)
+        .with_multigrid();
+    for _ in 0..2 {
+        run.step().map_err(|e| format!("step failed: {e}"))?;
+    }
+    Ok(run.temperatures().iter_kelvin().map(f64::to_bits).collect())
+}
+
 fn cases() -> Vec<Case> {
     vec![
         Case {
@@ -76,11 +95,11 @@ fn cases() -> Vec<Case> {
             },
         },
         Case {
-            name: "cg-multigrid",
+            name: "cg-mixed",
             solve: |p| {
                 bits(
                     CgSolver::new()
-                        .with_preconditioner(Preconditioner::Multigrid)
+                        .with_precision(Precision::Mixed)
                         .with_threads(THREADS)
                         .with_parallel_crossover(0)
                         .solve(p),
@@ -99,15 +118,8 @@ fn cases() -> Vec<Case> {
             },
         },
         Case {
-            name: "multigrid",
-            solve: |p| {
-                bits(
-                    MgSolver::new()
-                        .with_threads(THREADS)
-                        .with_parallel_crossover(0)
-                        .solve(p),
-                )
-            },
+            name: "transient-mixed",
+            solve: |_| transient_bits(&reduced_problem(64)),
         },
     ]
 }
@@ -121,7 +133,7 @@ fn cases() -> Vec<Case> {
 /// instrumentation gap (no regions checked), or a schedule-perturbed
 /// solve whose field is not bitwise identical to the unperturbed one.
 pub fn run() -> Result<String, String> {
-    let p = reduced_problem();
+    let p = reduced_problem(24);
     let mut lines = Vec::new();
     let mut total_regions = 0_usize;
 
@@ -162,7 +174,7 @@ pub fn run() -> Result<String, String> {
             }
         }
         lines.push(format!(
-            "  {:<13} {} region(s) race-checked, {} permuted schedules bitwise-identical",
+            "  {:<15} {} region(s) race-checked, {} permuted schedules bitwise-identical",
             case.name,
             regions,
             SEEDS.len()

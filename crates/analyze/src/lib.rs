@@ -30,8 +30,9 @@
 //!    read/write index sets in every parallel region and asserts
 //!    pairwise write-disjointness plus read/foreign-write separation —
 //!    a homegrown data-race detector for the red-black discipline —
-//!    and a schedule-perturbation harness re-runs CG/SOR/multigrid
-//!    under permuted band execution orders asserting bitwise-identical
+//!    and a schedule-perturbation harness re-runs Jacobi-CG, SOR and
+//!    mixed-precision multigrid solves and transient steps under
+//!    permuted band execution orders asserting bitwise-identical
 //!    temperature fields.
 //!
 //! Run `cargo run -p tsc-analyze` for the lint gate, and

@@ -507,7 +507,7 @@ fn push_acquisition(
 }
 
 /// Bodies of smoother/matvec-named fns are hot regions in their own
-/// right (`cheb_smooth`, `rb_sweep`, `matvec_range`, …).
+/// right (`smooth`, `sor_sweep`, `matvec_range`, …).
 fn hot_fn_bodies(model: &mut FileModel) {
     let hot: Vec<HotRegion> = model
         .fns

@@ -1,6 +1,7 @@
-//! Quick wall-clock comparison of the tier-1 solver configurations on
-//! the Gemmini 64×64×49 mesh — a faster inner loop than the full
-//! Criterion bench when iterating on kernels. Ignored by default:
+//! Quick wall-clock comparison of the solver configurations — f64
+//! Jacobi-CG and the mixed-precision multigrid path — on the Gemmini
+//! 64×64×49 mesh: a faster inner loop than the full solver bench when
+//! iterating on kernels. Ignored by default:
 //!
 //! `cargo test --release -p tsc-bench --test kernel_profile -- --ignored --nocapture`
 
@@ -8,7 +9,7 @@ use std::time::Instant;
 use tsc_core::beol::BeolProperties;
 use tsc_core::stack::{build, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{CgSolver, Heatsink, Precision, Preconditioner, Smoother};
+use tsc_thermal::{CgSolver, Heatsink, Precision};
 
 #[test]
 #[ignore]
@@ -18,31 +19,12 @@ fn profile_solvers() {
     let p = build(&gemmini::design(), &cfg).problem;
 
     for (name, solver) in [
+        ("f64 jacobi-cg", CgSolver::new().with_tolerance(1e-11)),
         (
-            "f64 mg-pcg rb",
-            CgSolver::new()
-                .with_tolerance(1e-11)
-                .with_preconditioner(Preconditioner::Multigrid),
-        ),
-        (
-            "f64 mg-pcg cheb",
-            CgSolver::new()
-                .with_tolerance(1e-11)
-                .with_preconditioner(Preconditioner::Multigrid)
-                .with_smoother(Smoother::Chebyshev),
-        ),
-        (
-            "mixed rb",
+            "mixed",
             CgSolver::new()
                 .with_tolerance(1e-11)
                 .with_precision(Precision::Mixed),
-        ),
-        (
-            "mixed cheb",
-            CgSolver::new()
-                .with_tolerance(1e-11)
-                .with_precision(Precision::Mixed)
-                .with_smoother(Smoother::Chebyshev),
         ),
     ] {
         let t = Instant::now();

@@ -215,7 +215,6 @@ pub fn solve_toy_with(
 
     let solver = CgSolver::new()
         .with_tolerance(1e-9)
-        .with_preconditioner(tsc_thermal::Preconditioner::Multigrid)
         .with_precision(tsc_thermal::Precision::Mixed);
     let sol = ctx.solve(&p, &solver)?;
     let peak = sol.temperatures.layer_max(5);

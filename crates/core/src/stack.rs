@@ -16,9 +16,7 @@ use tsc_designs::Design;
 use tsc_geometry::Grid2;
 use tsc_homogenize::pillar::PillarDesign;
 use tsc_materials::{BULK_SILICON, DEVICE_SILICON_THIN};
-use tsc_thermal::{
-    CgSolver, Heatsink, Precision, Preconditioner, Problem, Solution, SolveContext, SolveError,
-};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, Solution, SolveContext, SolveError};
 use tsc_units::{Length, Ratio, Temperature, ThermalConductivity};
 
 /// Configuration of a stacked-chip thermal simulation.
@@ -483,14 +481,13 @@ pub fn solve(design: &Design, config: &StackConfig) -> Result<StackSolution, Sol
 /// (`/v1/solve`, `/v1/batch`, jobs, flows, pillar placement): mixed
 /// precision at the same tolerance as [`solve`]. f64 iterative
 /// refinement wraps an f32 multigrid-preconditioned CG on the fully
-/// coarsened shadow hierarchy; the f64 MG-PCG and its hierarchy are
-/// only a fallback, built when a refinement pass stalls. [`solve`]
-/// stays on Jacobi-CG as the independent reference.
+/// coarsened hierarchy; a refinement pass that stalls finishes on f64
+/// Jacobi-CG. [`solve`] stays on Jacobi-CG as the independent
+/// reference.
 #[must_use]
 pub fn hot_loop_solver() -> CgSolver {
     CgSolver::new()
         .with_tolerance(1e-8)
-        .with_preconditioner(Preconditioner::Multigrid)
         .with_precision(Precision::Mixed)
 }
 

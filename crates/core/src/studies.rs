@@ -16,9 +16,7 @@ use crate::beol::{self, BeolProperties};
 use tsc_geometry::{Grid2, Point, Rect};
 use tsc_homogenize::pillar::PillarDesign;
 use tsc_materials::Anisotropic;
-use tsc_thermal::{
-    CgSolver, Heatsink, Precision, Preconditioner, Problem, SolveContext, SolveError,
-};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, SolveContext, SolveError};
 use tsc_units::{HeatFlux, Length, Ratio, TempDelta, ThermalConductivity};
 
 /// The mixed-precision solver the study hot loops share (see
@@ -26,7 +24,6 @@ use tsc_units::{HeatFlux, Length, Ratio, TempDelta, ThermalConductivity};
 fn study_solver() -> CgSolver {
     CgSolver::new()
         .with_tolerance(1e-9)
-        .with_preconditioner(Preconditioner::Multigrid)
         .with_precision(Precision::Mixed)
 }
 

@@ -427,8 +427,9 @@ impl TransientRequest {
         )
     }
 
-    /// Build fresh session state: stack build, transient staging, and
-    /// multigrid hierarchy construction.
+    /// Build fresh session state: stack build and transient staging on
+    /// the mixed-precision path (its multigrid hierarchy is built by the
+    /// first step).
     ///
     /// # Errors
     ///
@@ -444,8 +445,7 @@ impl TransientRequest {
             self.solve.heatsink.ambient,
         )
         .map_err(|e| (500, format!("transient staging failed: {e}")))?
-        .with_multigrid()
-        .map_err(|e| (500, format!("transient staging failed: {e}")))?;
+        .with_multigrid();
         Ok(TransientState { run, stack })
     }
 
@@ -1003,10 +1003,9 @@ fn accumulate_context_delta(metrics: &Metrics, before: &ContextStats, after: &Co
     metrics
         .ctx_hierarchy_builds
         .add(d(after.hierarchy_builds, before.hierarchy_builds));
-    metrics.ctx_fallback_hierarchy_builds.add(d(
-        after.fallback_hierarchy_builds,
-        before.fallback_hierarchy_builds,
-    ));
+    metrics
+        .ctx_f64_fallbacks
+        .add(d(after.f64_fallbacks, before.f64_fallbacks));
     metrics
         .ctx_warm_starts
         .add(d(after.warm_starts, before.warm_starts));
@@ -1420,13 +1419,13 @@ mod tests {
         let metrics = Metrics::default();
         job.execute(&pools, &metrics).expect("solves");
         metrics.record_request("solve", 200);
-        // A healthy mixed solve builds the f32 shadow once and never
-        // falls back to the f64 hierarchy.
+        // A healthy mixed solve builds the f32 hierarchy once and never
+        // finishes on Jacobi-CG.
         assert_eq!(metrics.ctx_hierarchy_builds.get(), 1);
-        assert_eq!(metrics.ctx_fallback_hierarchy_builds.get(), 0);
+        assert_eq!(metrics.ctx_f64_fallbacks.get(), 0);
         let text = metrics.render();
         crate::validate_exposition(&text).expect("exposition must validate");
         assert!(text.contains("tsc_context_hierarchy_builds_total 1\n"));
-        assert!(text.contains("tsc_context_fallback_hierarchy_builds_total 0\n"));
+        assert!(text.contains("tsc_context_f64_fallbacks_total 0\n"));
     }
 }

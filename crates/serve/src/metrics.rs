@@ -219,7 +219,7 @@ pub struct Metrics {
     pub ctx_operator_reuses: Counter,
     pub ctx_assemblies: Counter,
     pub ctx_hierarchy_builds: Counter,
-    pub ctx_fallback_hierarchy_builds: Counter,
+    pub ctx_f64_fallbacks: Counter,
     pub ctx_warm_starts: Counter,
     // Transient session rollups (`POST /v1/transient`).
     pub transient_sessions_active: Gauge,
@@ -459,13 +459,13 @@ impl Metrics {
             ),
             (
                 "tsc_context_hierarchy_builds_total",
-                "Multigrid hierarchies built by pooled contexts (the f32 shadow on the mixed path).",
+                "Multigrid hierarchies built by pooled contexts (mixed-precision solves).",
                 self.ctx_hierarchy_builds.get(),
             ),
             (
-                "tsc_context_fallback_hierarchy_builds_total",
-                "f64 multigrid hierarchies built on demand because mixed-precision refinement stalled.",
-                self.ctx_fallback_hierarchy_builds.get(),
+                "tsc_context_f64_fallbacks_total",
+                "Mixed-precision solves that finished on f64 Jacobi-CG because refinement stalled.",
+                self.ctx_f64_fallbacks.get(),
             ),
             (
                 "tsc_context_warm_starts_total",

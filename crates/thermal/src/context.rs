@@ -7,9 +7,8 @@
 //! expensive per-geometry state alive across those solves:
 //!
 //! * the assembled operator (face-conductance arrays + diagonal),
-//! * the multigrid hierarchy and its factored coarsest level — on the
-//!   mixed-precision path the f32 shadow hierarchy, plus the f64
-//!   hierarchy only once a solve has needed its fallback,
+//! * on the mixed-precision path, the f32 multigrid hierarchy and its
+//!   factored coarsest level,
 //! * the previous temperature field, used to warm-start the next solve.
 //!
 //! # Invalidation rules
@@ -20,38 +19,30 @@
 //! | change between solves            | action                                  |
 //! |----------------------------------|-----------------------------------------|
 //! | power map only                   | full reuse: new RHS, warm-started field |
-//! | conductivity / heatsink / mesh   | re-assemble operator + hierarchies; the |
+//! | conductivity / heatsink / mesh   | re-assemble operator + hierarchy; the   |
 //! |                                  | warm field survives if the cell count   |
 //! |                                  | is unchanged (a nearby design's field   |
 //! |                                  | is still an excellent initial guess)    |
 //! | cell count                       | cold start                              |
 //! | solver configuration (tolerance, | warm field dropped: a field converged   |
-//! | preconditioner, precision,       | under looser arithmetic (f32 inner) or  |
-//! | smoother)                        | a looser tolerance must never seed a    |
-//! |                                  | stricter solve; a smoother switch also  |
-//! |                                  | drops a built f64 hierarchy (and the    |
-//! |                                  | shadow with it)                         |
-//! | mixed-precision refinement       | f64 hierarchy built on demand, cached   |
-//! | stalls                           | until the operator changes              |
+//! | precision)                       | under looser arithmetic (f32 inner) or  |
+//! |                                  | a looser tolerance must never seed a    |
+//! |                                  | stricter solve                          |
 //! | any failed solve                 | warm field dropped (never seed from a   |
 //! |                                  | possibly-poisoned iterate)              |
 //!
-//! Which hierarchy a solve builds depends on its precision: the f64
-//! multigrid path builds the f64 hierarchy; the mixed path builds only
-//! the f32 shadow, and the f64 hierarchy only when a refinement pass
-//! stalls and falls back to f64 (or the shadow's coarsest Cholesky
-//! fails and it must mirror the f64 chain). A healthy mixed solve never
-//! pays for the f64 chain and its dense coarsest factorization.
+//! Only mixed solves build the hierarchy; f64 Jacobi-CG needs none. A
+//! mixed solve whose refinement stalls finishes on Jacobi-CG, which
+//! needs no extra state either.
 //!
 //! The snapshot covers everything [`crate::Problem`]'s conductance
 //! assembly reads — mesh dimensions, cell pitches, layer thicknesses,
 //! both heatsinks and both conductivity grids — so a cached operator can
 //! never be silently stale.
 
-use crate::kernels::{HierarchyF32, WorkspaceF32};
-use crate::multigrid::{LazyHierarchy, Smoother};
+use crate::kernels::Shadow;
 use crate::problem::Problem;
-use crate::solver::{Assembled, CgSolver, Precision, Preconditioner, Solution, SolveError};
+use crate::solver::{Assembled, CgSolver, Precision, Solution, SolveError};
 use tsc_geometry::Dim3;
 use tsc_units::Length;
 
@@ -218,15 +209,13 @@ pub struct ContextStats {
     pub solves: usize,
     /// Operator (re-)assemblies actually performed.
     pub assemblies: usize,
-    /// Multigrid hierarchy constructions actually performed: the f64
-    /// hierarchy on the f64 multigrid path, the f32 shadow on the
-    /// mixed-precision path.
+    /// Multigrid hierarchy constructions actually performed (mixed
+    /// solves only).
     pub hierarchy_builds: usize,
-    /// f64 hierarchies that mixed-precision solves built on demand,
-    /// because a refinement pass stalled and fell back to f64 or the
-    /// shadow had to mirror the f64 chain. Zero while refinement stays
-    /// healthy.
-    pub fallback_hierarchy_builds: usize,
+    /// Mixed solves that finished on f64 Jacobi-CG, because a
+    /// refinement pass stalled or the hierarchy could not be factored.
+    /// Zero while refinement stays healthy.
+    pub f64_fallbacks: usize,
     /// Solves that reused the cached operator as-is.
     pub operator_reuses: usize,
     /// Solves warm-started from a previous temperature field.
@@ -243,7 +232,7 @@ pub struct ContextStats {
 /// the module docs for the invalidation rules).
 ///
 /// ```
-/// use tsc_thermal::{CgSolver, Heatsink, Preconditioner, Problem, SolveContext};
+/// use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, SolveContext};
 /// use tsc_units::{Length, Power, ThermalConductivity};
 ///
 /// let mut p = Problem::uniform_block(
@@ -255,7 +244,7 @@ pub struct ContextStats {
 /// p.set_bottom_heatsink(Heatsink::two_phase());
 /// p.add_power(4, 4, 5, Power::from_watts(1.0));
 ///
-/// let solver = CgSolver::new().with_preconditioner(Preconditioner::Multigrid);
+/// let solver = CgSolver::new().with_precision(Precision::Mixed);
 /// let mut ctx = SolveContext::new();
 /// let first = ctx.solve(&p, &solver)?;
 /// p.add_power(2, 2, 5, Power::from_watts(0.5)); // power-only delta
@@ -268,12 +257,8 @@ pub struct ContextStats {
 pub struct SolveContext {
     key: Option<OperatorKey>,
     asm: Option<Assembled>,
-    /// f64 hierarchy + scratch: built by every f64 multigrid solve, and
-    /// by a mixed solve only when it falls back to f64.
-    f64_mg: LazyHierarchy,
-    /// f32 shadow hierarchy + scratch for mixed-precision solves
-    /// (invalidated with the f64 hierarchy).
-    h32: Option<(HierarchyF32, WorkspaceF32)>,
+    /// f32 hierarchy of the cached operator, for mixed solves.
+    shadow: Shadow,
     warm: Option<(WarmKey, Vec<f64>)>,
     warm_start: bool,
     stats: ContextStats,
@@ -281,26 +266,21 @@ pub struct SolveContext {
 
 /// Validity key of the cached warm-start field: the solver
 /// configuration the field was converged under. A field from a looser
-/// tolerance, a different preconditioner/smoother, or the f32-inner
-/// mixed path must never silently seed a solve with stricter (or merely
-/// different) convergence semantics — reusing it across configurations
+/// tolerance or the f32-inner mixed path must never silently seed a
+/// solve with stricter (or merely different) convergence semantics — reusing it across configurations
 /// would make the second solve's iteration count, trajectory, and
 /// (for golden flows) bit pattern depend on unrelated earlier solves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct WarmKey {
     tol: f64,
-    precon: Preconditioner,
     precision: Precision,
-    smoother: Smoother,
 }
 
 impl WarmKey {
     fn of(solver: &CgSolver) -> Self {
         Self {
             tol: solver.tolerance(),
-            precon: solver.preconditioner(),
             precision: solver.precision(),
-            smoother: solver.smoother(),
         }
     }
 }
@@ -338,16 +318,11 @@ impl SolveContext {
     pub fn invalidate(&mut self) {
         self.key = None;
         self.asm = None;
-        self.drop_hierarchies();
+        self.shadow = Shadow::default();
         self.warm = None;
     }
 
-    fn drop_hierarchies(&mut self) {
-        self.f64_mg = LazyHierarchy::default();
-        self.h32 = None;
-    }
-
-    /// Solves `p` with `solver`'s tolerances and preconditioner, reusing
+    /// Solves `p` with `solver`'s tolerance and precision, reusing
     /// whatever cached state is still valid (see the module docs).
     ///
     /// # Errors
@@ -367,30 +342,15 @@ impl SolveContext {
             let asm = Assembled::build(p)?;
             self.key = Some(OperatorKey::snapshot(p));
             self.asm = Some(asm);
-            self.drop_hierarchies();
+            self.shadow = Shadow::default();
             self.stats.assemblies += 1;
         }
 
         let params = solver.params();
-        let mg_params = solver.mg_params();
         let warm_key = WarmKey::of(solver);
-        let mixed = solver.precision() == Precision::Mixed;
-        let needs_mg = mixed || solver.preconditioner() == Preconditioner::Multigrid;
-        // A hierarchy built for a different smoother (no Chebyshev
-        // bounds, or the wrong ones) cannot be reused; nor can a shadow
-        // that may mirror it.
-        if needs_mg
-            && self
-                .f64_mg
-                .smoother()
-                .is_some_and(|s| s != solver.smoother())
-        {
-            self.drop_hierarchies();
-        }
         let Self {
             asm,
-            f64_mg,
-            h32,
+            shadow,
             warm,
             warm_start,
             stats,
@@ -409,32 +369,11 @@ impl SolveContext {
             _ => vec![asm.initial_guess; n],
         };
 
-        let had_f64 = f64_mg.is_built();
-        let result = if mixed {
-            let (shadow, scratch) = match h32 {
-                Some(built) => built,
-                empty => {
-                    let shadow = HierarchyF32::build(asm, &mg_params, f64_mg)?;
-                    stats.hierarchy_builds += 1;
-                    let scratch = shadow.workspace();
-                    empty.insert((shadow, scratch))
-                }
-            };
-            let result =
-                asm.cg_core_mixed(&rhs, &mut x, &params, shadow, scratch, &mg_params, f64_mg);
-            if !had_f64 && f64_mg.is_built() {
-                stats.fallback_hierarchy_builds += 1;
-            }
-            result
-        } else if solver.preconditioner() == Preconditioner::Multigrid {
-            let (mg, ws) = f64_mg.get(asm, &mg_params)?;
-            if !had_f64 {
-                stats.hierarchy_builds += 1;
-            }
-            asm.cg_core_mg(&rhs, &mut x, &params, mg, ws)
-        } else {
-            asm.cg_core(None, &rhs, &mut x, &params)
-        };
+        let before = (shadow.builds, shadow.f64_fallbacks);
+        let mixed = (solver.precision() == Precision::Mixed).then_some(&mut *shadow);
+        let result = asm.solve_system(None, &rhs, &mut x, &params, mixed);
+        stats.hierarchy_builds += shadow.builds - before.0;
+        stats.f64_fallbacks += shadow.f64_fallbacks - before.1;
 
         match result {
             Ok(solver_stats) => {
@@ -479,7 +418,7 @@ mod tests {
     fn mg_solver() -> CgSolver {
         CgSolver::new()
             .with_tolerance(1e-9)
-            .with_preconditioner(Preconditioner::Multigrid)
+            .with_precision(Precision::Mixed)
     }
 
     #[test]
@@ -609,12 +548,11 @@ mod tests {
         // Regression (stale warm-start field): the warm field used to
         // survive *any* solve with a matching cell count, so an
         // f32-converged mixed solve could seed a subsequent strict-f64
-        // solve. The warm key now pins tolerance, preconditioner,
-        // precision and smoother.
+        // solve. The warm key now pins tolerance and precision.
         let p = problem();
         let mut ctx = SolveContext::new();
-        let f64_solver = mg_solver();
-        let mixed_solver = mg_solver().with_precision(Precision::Mixed);
+        let f64_solver = CgSolver::new().with_tolerance(1e-9);
+        let mixed_solver = mg_solver();
 
         ctx.solve(&p, &mixed_solver).expect("mixed cold");
         ctx.solve(&p, &f64_solver).expect("f64 after mixed");
@@ -626,19 +564,12 @@ mod tests {
         ctx.solve(&p, &f64_solver).expect("f64 repeat");
         assert_eq!(ctx.stats().warm_starts, 1, "same config warm-starts");
 
-        let loose = mg_solver().with_tolerance(1e-6);
+        let loose = f64_solver.with_tolerance(1e-6);
         ctx.solve(&p, &loose).expect("loose");
         assert_eq!(
             ctx.stats().warm_starts,
             1,
             "tolerance switch must not warm-start"
-        );
-        ctx.solve(&p, &CgSolver::new().with_tolerance(1e-9))
-            .expect("jacobi");
-        assert_eq!(
-            ctx.stats().warm_starts,
-            1,
-            "preconditioner switch must not warm-start"
         );
     }
 
@@ -646,7 +577,7 @@ mod tests {
     fn mixed_solves_reuse_cached_f32_hierarchy() {
         let mut p = problem();
         let mut ctx = SolveContext::new();
-        let solver = mg_solver().with_precision(Precision::Mixed);
+        let solver = mg_solver();
         let first = ctx.solve(&p, &solver).expect("first mixed");
         assert_eq!(first.stats.precision, Precision::Mixed);
         p.add_power(2, 2, 7, Power::from_watts(0.5));
@@ -672,32 +603,16 @@ mod tests {
     fn clean_mixed_solves_build_no_f64_hierarchy() {
         let mut p = problem();
         let mut ctx = SolveContext::new();
-        let solver = mg_solver().with_precision(Precision::Mixed);
+        let solver = mg_solver();
         for _ in 0..2 {
             let sol = ctx.solve(&p, &solver).expect("mixed");
             assert_eq!(sol.stats.precision, Precision::Mixed);
             p.add_power(3, 3, 7, Power::from_watts(0.25));
         }
-        assert!(ctx.h32.is_some(), "the f32 shadow is cached");
-        assert!(!ctx.f64_mg.is_built(), "no f64 hierarchy without a stall");
+        assert_eq!(ctx.shadow.builds, 1, "the f32 hierarchy is cached");
         let s = ctx.stats();
         assert_eq!(s.hierarchy_builds, 1);
-        assert_eq!(s.fallback_hierarchy_builds, 0);
-    }
-
-    #[test]
-    fn smoother_switch_rebuilds_hierarchy() {
-        let p = problem();
-        let mut ctx = SolveContext::new();
-        ctx.solve(&p, &mg_solver()).expect("red-black");
-        ctx.solve(&p, &mg_solver().with_smoother(Smoother::Chebyshev))
-            .expect("chebyshev");
-        let s = ctx.stats();
-        assert_eq!(s.assemblies, 1, "operator itself is smoother-agnostic");
-        assert_eq!(
-            s.hierarchy_builds, 2,
-            "chebyshev needs its own hierarchy (eigenvalue bounds)"
-        );
+        assert_eq!(s.f64_fallbacks, 0, "no Jacobi-CG finish without a stall");
     }
 
     #[test]

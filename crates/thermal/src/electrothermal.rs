@@ -10,9 +10,9 @@
 //! faster than the sink can respond.
 
 use crate::field::TemperatureField;
-use crate::multigrid::{MgHierarchy, MgParams};
+use crate::kernels::Shadow;
 use crate::problem::Problem;
-use crate::solver::{Assembled, CgSolver, Preconditioner, SolveError};
+use crate::solver::{Assembled, CgSolver, SolveError};
 use tsc_units::{Power, Ratio, TempDelta, Temperature};
 
 /// The leakage feedback model.
@@ -133,7 +133,7 @@ pub fn solve_electrothermal(
 
 /// [`solve_electrothermal`] with an explicit inner solver configuration.
 ///
-/// With [`Preconditioner::Multigrid`] the V-cycle hierarchy is built
+/// With [`crate::Precision::Mixed`] the multigrid hierarchy is built
 /// **once** (the operator never changes — only the right-hand side does)
 /// and reused by every fixed-point iteration, compounding with the
 /// warm start.
@@ -152,19 +152,9 @@ pub fn solve_electrothermal_with(
     assert!(max_iterations > 0, "need at least one iteration");
     let asm = Assembled::build(base).map_err(ElectrothermalError::from)?;
     let params = solver.params();
-    let mut mg = match solver.preconditioner() {
-        Preconditioner::Multigrid => {
-            let hierarchy =
-                MgHierarchy::build(&asm, &MgParams::with_exec(params.threads, params.crossover))?;
-            let workspace = hierarchy.workspace();
-            Some((hierarchy, workspace))
-        }
-        _ => None,
-    };
-    let mut solve_once = |rhs: &[f64], x: &mut [f64]| match &mut mg {
-        Some((hierarchy, workspace)) => asm.cg_core_mg(rhs, x, &params, hierarchy, workspace),
-        None => asm.cg_core(None, rhs, x, &params),
-    };
+    let mut shadow = Shadow::for_precision(solver.precision());
+    let mut solve_once =
+        |rhs: &[f64], x: &mut [f64]| asm.solve_system(None, rhs, x, &params, shadow.as_mut());
     let base_power = base.power_flat().to_vec();
 
     let mut x = vec![asm.initial_guess(); base.dim().len()];
@@ -322,9 +312,9 @@ mod tests {
             50,
             &CgSolver::new()
                 .with_tolerance(1e-8)
-                .with_preconditioner(Preconditioner::Multigrid),
+                .with_precision(crate::Precision::Mixed),
         )
-        .expect("mg converges");
+        .expect("mixed converges");
         assert_eq!(mg.iterations, jacobi.iterations);
         let dev = (mg.temperatures.max_temperature() - jacobi.temperatures.max_temperature())
             .kelvin()

@@ -1,5 +1,7 @@
 //! Mixed-precision solver kernels: an f32 multigrid-preconditioned CG
-//! wrapped in f64 iterative refinement.
+//! wrapped in f64 iterative refinement — the production solve path —
+//! and [`Assembled::solve_system`], the one entry that picks between it
+//! and f64 Jacobi-CG.
 //!
 //! The stencil solvers are memory-bandwidth-bound, so halving the bytes
 //! per cell roughly halves the wall clock — but a raw f32 solve cannot
@@ -13,18 +15,15 @@
 //! f64 residual, so the reported tolerance is honest; each pass
 //! contracts the residual by roughly the inner tolerance, so a handful
 //! of passes reach 1e-11. If a pass fails to contract (f32 has hit its
-//! accuracy floor on a pathological operator) the solve falls back to
-//! the pure-f64 multigrid path *continuing from the current iterate*,
-//! so the mixed path is never less robust than f64 — only faster.
+//! accuracy floor on a pathological operator) the solve finishes on f64
+//! Jacobi-CG — the oracle — *continuing from the refined iterate*, so
+//! the mixed path is never less robust than f64, only faster.
 //!
-//! The inner solve preconditions with its own f32 hierarchy
-//! ([`HierarchyF32`]), built from the fine operator alone. The f64
-//! [`MgHierarchy`] — a deeper semicoarsened chain whose coarsest level
-//! (up to 512 cells) costs a dense f64 Cholesky — is built on demand
-//! ([`LazyHierarchy`]): only when a pass stalls and the solve falls
-//! back to f64, or when the f32 chain's coarsest factorization fails
-//! and the shadow has to mirror the f64 chain. A healthy mixed solve
-//! never builds it.
+//! The inner solve preconditions with [`HierarchyF32`], the workspace's
+//! one multigrid hierarchy: a fully coarsened Galerkin chain
+//! ([`crate::multigrid`]) smoothed by z-line Jacobi, built from the fine
+//! operator alone. Should its coarsest Cholesky fail (poisoned
+//! conductances), solves on that operator run Jacobi-CG outright.
 //!
 //! The f32 operator is stored structure-of-arrays ([`OpF32`]) and its
 //! matvec is written as branch-free per-row passes the autovectorizer
@@ -34,18 +33,15 @@
 //! `k−1`/`k`/`k+1` neighbour of three consecutive sweeps).
 //!
 //! Determinism: the inner f32 kernels use the same per-slab ordered
-//! reductions and colour-disjoint (or reduction-free Chebyshev) writes
-//! as the f64 path, so the mixed path is also bitwise independent of
-//! the thread count — verified by the race-check harness.
+//! reductions and band-disjoint writes as the f64 path, and the z-line
+//! solve and coarse levels run serially, so the mixed path is also
+//! bitwise independent of the thread count — verified by the
+//! race-check harness.
 
 use crate::engine::ExecPlan;
-use crate::multigrid::{
-    coarsen, coarsen_factors_with, prolong_add, restrict, DenseCholesky, Factors, LazyHierarchy,
-    MgHierarchy, MgParams, Smoother,
-};
+use crate::multigrid::{galerkin_chain, prolong_add, restrict, DenseCholesky, Factors};
 use crate::solver::{
-    norm, ordered_sum, slab_dot_wide_parts, Assembled, CgParams, Precision, Preconditioner,
-    SolveError, SolverStats,
+    norm, ordered_sum, slab_dot_wide_parts, Assembled, CgParams, Precision, SolveError, SolverStats,
 };
 use std::time::Instant;
 use tsc_geometry::Dim3;
@@ -53,7 +49,7 @@ use tsc_geometry::Dim3;
 /// Outer refinement passes before the solve is declared stuck. Each
 /// pass contracts the residual by roughly [`INNER_TOL`], so a healthy
 /// solve needs ~3; the budget only exists to bound pathological cases
-/// (which fall back to f64 long before exhausting it).
+/// (which finish on Jacobi-CG long before exhausting it).
 const MAX_REFINE: usize = 60;
 
 /// Relative tolerance of the inner f32 correction solve. The *outer*
@@ -68,11 +64,11 @@ const INNER_TOL: f64 = 1e-2;
 
 /// Iteration budget of one inner f32 MG-PCG solve. MG-PCG reaches 1e-5
 /// in well under 20 iterations on every mesh in the test fleet; the cap
-/// converts an inner stall into a prompt f64 fallback.
+/// converts an inner stall into a prompt Jacobi-CG finish.
 const INNER_MAX_ITER: usize = 200;
 
 /// An outer pass must contract the f64 residual to at most this factor,
-/// or the mixed path is declared stalled and falls back to f64.
+/// or the mixed path is declared stalled and finishes on Jacobi-CG.
 const STALL_FACTOR: f64 = 0.25;
 
 /// L2 budget per j-stripe of the blocked matvec, in bytes. Set below
@@ -85,21 +81,6 @@ const L2_TARGET_BYTES: usize = 256 * 1024;
 /// gy×2, gz×2 ≈ 9 rows of 4 bytes).
 const STREAM_BYTES_PER_CELL: usize = 9 * 4;
 
-/// Lateral-join threshold of the shadow hierarchy's coarsening rule
-/// (the f64 hierarchy uses 0.25). The strict rule semicoarsens z-only
-/// through every tier of a 3D stack — grid complexity ≈ 2× the fine
-/// mesh. The shadow hierarchy instead coarsens **all** directions at
-/// every level (threshold 0), which cuts grid complexity to ≈ 1.15× —
-/// affordable only because its smoother is a z-line solve
-/// ([`LineZ`]): point smoothers cannot damp the laterally-oscillatory
-/// z-smooth modes that full coarsening stops representing, but a line
-/// smoother annihilates the entire z-coupled block exactly.
-const F32_SEMI_THRESHOLD: f64 = 0.0;
-
-/// Coarsening of the shadow hierarchy stops at or below this many
-/// cells (dense f64 Cholesky takes over).
-const F32_COARSE_MAX: usize = 512;
-
 /// Damping of the z-line Jacobi smoother. The line solve absorbs the
 /// dominant z coupling exactly, leaving a weakly coupled lateral
 /// Jacobi iteration, which is well damped just under 1.
@@ -109,8 +90,7 @@ const LINE_OMEGA: f32 = 0.9;
 ///
 /// Same face-conductance indexing as [`Assembled`] (`gx` is
 /// `(nx−1)·ny·nz`, x-major; `gy` is `nx·(ny−1)·nz`; `gz` is
-/// `nx·ny·(nz−1)`), plus the precomputed reciprocal diagonal the
-/// smoothers multiply by instead of dividing.
+/// `nx·ny·(nz−1)`).
 #[derive(Debug, Clone)]
 pub(crate) struct OpF32 {
     dim: Dim3,
@@ -118,7 +98,6 @@ pub(crate) struct OpF32 {
     gy: Vec<f32>,
     gz: Vec<f32>,
     diag: Vec<f32>,
-    inv_diag: Vec<f32>,
     /// j-stripe height of the cache-blocked matvec.
     tile_j: usize,
 }
@@ -140,7 +119,6 @@ impl OpF32 {
             gy: narrow(&op.gy),
             gz: narrow(&op.gz),
             diag: narrow(&op.diag),
-            inv_diag: op.diag.iter().map(|&d| (1.0 / d) as f32).collect(),
             tile_j,
         }
     }
@@ -208,125 +186,6 @@ impl OpF32 {
                     }
                 }
             }
-        }
-    }
-
-    /// f32 red-black relaxation sweep — structurally identical to
-    /// [`Assembled::rb_sweep`] (colour-disjoint writes through the
-    /// generic [`crate::engine::SharedSlice`]), multiplying by the
-    /// precomputed reciprocal diagonal.
-    pub(crate) fn rb_sweep(
-        &self,
-        plan: &ExecPlan,
-        x: &mut [f32],
-        rhs: &[f32],
-        omega: f32,
-        colours: [usize; 2],
-    ) {
-        let (nx, ny, nz) = (self.dim.nx, self.dim.ny, self.dim.nz);
-        let slab = nx * ny;
-        for colour in colours {
-            plan.for_each_shared(x, |range, shared| {
-                let (k_lo, k_hi) = (range.start / slab, range.end / slab);
-                for k in k_lo..k_hi {
-                    for j in 0..ny {
-                        let i0 = (colour + j + k) % 2;
-                        for i in (i0..nx).step_by(2) {
-                            let c = (k * ny + j) * nx + i;
-                            // SAFETY: `c` has the active colour inside this
-                            // worker's own band (exclusive writer); every
-                            // index read below is a stencil neighbour of
-                            // `c` and therefore of the *other* colour — no
-                            // concurrent pass writes it. Identical
-                            // discipline to the f64 sweep.
-                            unsafe {
-                                let mut sigma = 0.0f32;
-                                if i > 0 {
-                                    sigma += self.gx[(k * ny + j) * (nx - 1) + i - 1]
-                                        * shared.get(c - 1);
-                                }
-                                if i + 1 < nx {
-                                    sigma +=
-                                        self.gx[(k * ny + j) * (nx - 1) + i] * shared.get(c + 1);
-                                }
-                                if j > 0 {
-                                    sigma += self.gy[(k * (ny - 1) + j - 1) * nx + i]
-                                        * shared.get(c - nx);
-                                }
-                                if j + 1 < ny {
-                                    sigma +=
-                                        self.gy[(k * (ny - 1) + j) * nx + i] * shared.get(c + nx);
-                                }
-                                if k > 0 {
-                                    sigma +=
-                                        self.gz[((k - 1) * ny + j) * nx + i] * shared.get(c - slab);
-                                }
-                                if k + 1 < nz {
-                                    sigma += self.gz[(k * ny + j) * nx + i] * shared.get(c + slab);
-                                }
-                                let old = shared.get(c);
-                                let gs = (rhs[c] + sigma) * self.inv_diag[c];
-                                shared.set(c, old + omega * (gs - old));
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    }
-
-    /// f32 Chebyshev smoothing application over `[lo, hi]` — the f32
-    /// twin of `multigrid::cheb_smooth`: three residual/update pass
-    /// pairs, all banded element-wise writes, no reductions.
-    #[allow(clippy::too_many_arguments)] // level-local scratch, not an API
-    pub(crate) fn cheb_smooth(
-        &self,
-        plan: &ExecPlan,
-        lo: f32,
-        hi: f32,
-        b: &[f32],
-        x: &mut [f32],
-        r: &mut [f32],
-        d: &mut [f32],
-    ) {
-        let theta = 0.5 * (hi + lo);
-        let delta = 0.5 * (hi - lo);
-        let sigma = theta / delta;
-        let mut rho = 1.0f32 / sigma;
-        plan.map_mut(r, |range, chunk| {
-            self.matvec_range(x, chunk, range.clone());
-            for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                *o = bv - *o;
-            }
-        });
-        plan.map2_mut(x, d, |range, xs, ds| {
-            let rr = &r[range.clone()];
-            let inv = &self.inv_diag[range];
-            for (((xv, dv), rv), iv) in xs.iter_mut().zip(ds.iter_mut()).zip(rr).zip(inv) {
-                let v = rv / theta * iv;
-                *dv = v;
-                *xv += v;
-            }
-        });
-        for _ in 1..crate::multigrid::CHEB_DEGREE {
-            let rho_next = 1.0 / (2.0 * sigma - rho);
-            plan.map_mut(r, |range, chunk| {
-                self.matvec_range(x, chunk, range.clone());
-                for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                    *o = bv - *o;
-                }
-            });
-            let gain = 2.0 * rho_next / delta;
-            plan.map2_mut(x, d, |range, xs, ds| {
-                let rr = &r[range.clone()];
-                let inv = &self.inv_diag[range];
-                for (((xv, dv), rv), iv) in xs.iter_mut().zip(ds.iter_mut()).zip(rr).zip(inv) {
-                    let v = rho_next * rho * *dv + gain * rv * iv;
-                    *dv = v;
-                    *xv += v;
-                }
-            });
-            rho = rho_next;
         }
     }
 }
@@ -438,12 +297,11 @@ pub(crate) struct WorkspaceF32 {
 }
 
 /// The f32 preconditioner hierarchy of a mixed solve: every level's
-/// operator narrowed to [`OpF32`], on a fully coarsened chain of its
-/// own (see [`HierarchyF32::build`]), with a (still f64) coarsest-level
+/// operator narrowed to [`OpF32`] on the fully coarsened Galerkin chain,
+/// a z-line factorization per level, and a (still f64) coarsest-level
 /// Cholesky factor — the direct solve is a negligible fraction of the
 /// cycle, and keeping it in f64 costs nothing while anchoring the
-/// cycle's coarse corrections. Only its fallback form mirrors an
-/// [`MgHierarchy`].
+/// cycle's coarse corrections.
 #[derive(Debug)]
 pub(crate) struct HierarchyF32 {
     ops: Vec<OpF32>,
@@ -451,81 +309,43 @@ pub(crate) struct HierarchyF32 {
     factors: Vec<Factors>,
     plans: Vec<ExecPlan>,
     chol: DenseCholesky,
-    smoother: SmootherF32,
-    cheb: Vec<(f32, f32)>,
     line: Vec<LineZ>,
-    nu_pre: usize,
-    nu_post: usize,
-    omega: f32,
-}
-
-/// Smoothers of the shadow hierarchy. The aggressive fully-coarsened
-/// chain always smooths with [`LineZ`] (see [`F32_SEMI_THRESHOLD`]);
-/// the point variants exist for the mirror fallback, which reuses the
-/// f64 hierarchy's semicoarsened chain and its configured smoother.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SmootherF32 {
-    RedBlack,
-    Chebyshev,
-    LineZ,
 }
 
 impl HierarchyF32 {
-    /// Builds the f32 shadow hierarchy for `fine` with its **own, fully
-    /// coarsened chain** ([`F32_SEMI_THRESHOLD`]) smoothed by z-line
-    /// Jacobi: the inner cycle is only a preconditioner, so it may
-    /// trade spectral detail for a much cheaper grid complexity — a
-    /// weaker cycle merely costs inner CG iterations (and a genuinely
-    /// stalled pass falls back to f64). The line smoother is what makes
-    /// full coarsening affordable on the anisotropic stacks; the
-    /// configured point smoother (red-black / Chebyshev) only governs
-    /// the f64 hierarchy. From `params` the shadow takes the finest
-    /// level's execution plan, the sweep counts and the relaxation
-    /// factor; coarse-level plans are serial: those grids are small,
-    /// and a fixed serial schedule is trivially thread-count
-    /// independent.
-    ///
-    /// No f64 hierarchy is built — unless the chain's coarsest operator
-    /// fails the Cholesky SPD check (it cannot, mathematically —
-    /// Galerkin aggregation of an SPD operator is SPD — but poisoned
-    /// conductances could). Then `f64_mg` is built (or reused) and the
-    /// shadow mirrors its already-factored levels and smoother.
+    /// Builds the hierarchy for `A + diag(shift)` (`shift` is the
+    /// transient stepper's `C/Δt`; `None` for steady solves). The inner
+    /// cycle is only a preconditioner, so it trades spectral detail for
+    /// a cheap, fully coarsened chain — a weaker cycle merely costs
+    /// inner CG iterations. The finest level runs under the
+    /// `threads`/`crossover` execution plan; coarse-level plans are
+    /// serial: those grids are small, and a fixed serial schedule is
+    /// trivially thread-count independent.
     ///
     /// # Errors
     ///
-    /// Those of the f64 hierarchy build, when the mirror needs it.
+    /// [`SolveError::Diverged`] when the coarsest operator fails the
+    /// Cholesky SPD check. It cannot, mathematically — Galerkin
+    /// aggregation of an SPD operator is SPD — but poisoned
+    /// conductances can.
     pub(crate) fn build(
         fine: &Assembled,
-        params: &MgParams,
-        f64_mg: &mut LazyHierarchy,
+        shift: Option<&[f64]>,
+        threads: usize,
+        crossover: usize,
     ) -> Result<Self, SolveError> {
-        let mut dims = vec![fine.dim()];
-        let mut factors: Vec<Factors> = Vec::new();
-        let mut chain: Vec<Assembled> = Vec::new();
-        loop {
-            let cur = chain.last().unwrap_or(fine);
-            if cur.dim().len() <= F32_COARSE_MAX {
-                break;
-            }
-            let Some(f) = coarsen_factors_with(cur, F32_SEMI_THRESHOLD) else {
-                break;
-            };
-            let coarse = coarsen(cur, f);
-            dims.push(coarse.dim());
-            factors.push(f);
-            chain.push(coarse);
-        }
-        let Ok(chol) = DenseCholesky::factor(chain.last().unwrap_or(fine)) else {
-            let (mg, _) = f64_mg.get(fine, params)?;
-            return Ok(Self::mirror(fine, mg));
-        };
-        let levels = || std::iter::once(fine).chain(chain.iter());
+        let shifted = shift.map(|s| fine.shifted(s));
+        let fine = shifted.as_ref().unwrap_or(fine);
+        let chain = galerkin_chain(fine, shift);
+        let chol = DenseCholesky::factor(chain.last().map_or(fine, |(_, op)| op))?;
+        let levels = || std::iter::once(fine).chain(chain.iter().map(|(_, op)| op));
+        let dims: Vec<Dim3> = levels().map(Assembled::dim).collect();
         let plans = dims
             .iter()
             .enumerate()
             .map(|(l, &d)| {
                 if l == 0 {
-                    ExecPlan::new(d, params.threads, params.crossover)
+                    ExecPlan::new(d, threads, crossover)
                 } else {
                     ExecPlan::new(d, 1, usize::MAX)
                 }
@@ -536,51 +356,16 @@ impl HierarchyF32 {
         Ok(Self {
             ops,
             dims,
-            factors,
+            factors: chain.iter().map(|&(f, _)| f).collect(),
             plans,
             chol,
-            smoother: SmootherF32::LineZ,
-            cheb: Vec::new(),
             line,
-            nu_pre: params.nu_pre,
-            nu_post: params.nu_post,
-            omega: params.omega as f32,
         })
-    }
-
-    /// The historical shadow construction: narrow `mg`'s own levels and
-    /// clone its factored coarse solve — the fallback when the
-    /// aggressive chain cannot be factored.
-    fn mirror(fine: &Assembled, mg: &MgHierarchy) -> Self {
-        let ops = (0..mg.levels())
-            .map(|l| OpF32::from_assembled(mg.op(fine, l)))
-            .collect();
-        let (nu_pre, nu_post) = mg.sweeps();
-        Self {
-            ops,
-            dims: mg.dims().to_vec(),
-            factors: mg.factors().to_vec(),
-            plans: mg.plans().to_vec(),
-            chol: mg.chol().clone(),
-            smoother: match mg.smoother() {
-                Smoother::RedBlack => SmootherF32::RedBlack,
-                Smoother::Chebyshev => SmootherF32::Chebyshev,
-            },
-            cheb: mg
-                .cheb_intervals()
-                .iter()
-                .map(|&(lo, hi)| (lo as f32, hi as f32))
-                .collect(),
-            line: Vec::new(),
-            nu_pre,
-            nu_post,
-            omega: mg.relax_omega() as f32,
-        }
     }
 
     /// 2-norm of the f64 residual `r` restricted down this hierarchy's
     /// chain, finest first — [`SolverStats::level_residuals`] of a
-    /// mixed solve, which never needs the f64 hierarchy's levels.
+    /// mixed solve.
     fn level_norms(&self, r: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.dims.len());
         out.push(norm(r));
@@ -626,49 +411,22 @@ impl HierarchyF32 {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
-    fn smooth(
-        &self,
-        level: usize,
-        b: &[f32],
-        x: &mut [f32],
-        r: &mut [f32],
-        d: &mut [f32],
-        nu: usize,
-        colours: [usize; 2],
-    ) {
+    /// One damped z-line Jacobi pass at `level`: `x += ω·T⁻¹·(b − A·x)`.
+    fn smooth(&self, level: usize, b: &[f32], x: &mut [f32], r: &mut [f32], d: &mut [f32]) {
         let op = &self.ops[level];
         let plan = &self.plans[level];
-        match self.smoother {
-            SmootherF32::RedBlack => {
-                for _ in 0..nu {
-                    op.rb_sweep(plan, x, b, self.omega, colours);
-                }
+        plan.map_mut(r, |range, chunk| {
+            op.matvec_range(x, chunk, range.clone());
+            for (o, bv) in chunk.iter_mut().zip(&b[range]) {
+                *o = bv - *o;
             }
-            SmootherF32::Chebyshev => {
-                let (lo, hi) = self.cheb[level];
-                for _ in 0..nu {
-                    op.cheb_smooth(plan, lo, hi, b, x, r, d);
-                }
+        });
+        self.line[level].solve(self.dims[level], &op.gz, r, d);
+        plan.map_mut(x, |range, chunk| {
+            for (o, dv) in chunk.iter_mut().zip(&d[range]) {
+                *o += LINE_OMEGA * dv;
             }
-            SmootherF32::LineZ => {
-                let line = &self.line[level];
-                for _ in 0..nu {
-                    plan.map_mut(r, |range, chunk| {
-                        op.matvec_range(x, chunk, range.clone());
-                        for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                            *o = bv - *o;
-                        }
-                    });
-                    line.solve(self.dims[level], &op.gz, r, d);
-                    plan.map_mut(x, |range, chunk| {
-                        for (o, dv) in chunk.iter_mut().zip(&d[range]) {
-                            *o += LINE_OMEGA * dv;
-                        }
-                    });
-                }
-            }
-        }
+        });
     }
 
     #[allow(clippy::too_many_arguments)] // recursion state, not an API
@@ -695,7 +453,7 @@ impl HierarchyF32 {
         }
         let op = &self.ops[level];
         let plan = &self.plans[level];
-        self.smooth(level, b, x, r, d, self.nu_pre, [0, 1]);
+        self.smooth(level, b, x, r, d);
         plan.map_mut(r, |range, chunk| {
             op.matvec_range(x, chunk, range.clone());
             for (o, bv) in chunk.iter_mut().zip(&b[range]) {
@@ -727,7 +485,7 @@ impl HierarchyF32 {
             cx,
             x,
         );
-        self.smooth(level, b, x, r, d, self.nu_post, [1, 0]);
+        self.smooth(level, b, x, r, d);
     }
 
     /// Inner f32 MG-PCG on `A·x = b`, starting from `x = 0`, run to
@@ -735,8 +493,8 @@ impl HierarchyF32 {
     /// the per-slab ordered partials, so the iteration is bitwise
     /// thread-count independent like the f64 path. Returns
     /// `(iterations, matvecs, cycles, converged-and-finite)` — the
-    /// caller treats `false` as a signal to fall back to f64, never as
-    /// an error.
+    /// caller treats `false` as a signal to finish on Jacobi-CG, never
+    /// as an error.
     pub(crate) fn solve_correction(
         &self,
         ws: &mut WorkspaceF32,
@@ -831,25 +589,102 @@ impl HierarchyF32 {
     }
 }
 
+/// The mixed path's per-operator state: the f32 shadow hierarchy, built
+/// on first use, and what the solves through it did. Whoever owns the
+/// operator owns its shadow — a [`crate::SolveContext`], a transient
+/// run, one electrothermal loop, one [`crate::CgSolver::solve`] — and
+/// drops it with the operator. The hierarchy is built for the diagonal
+/// shift of the first solve, so one slot serves one shifted operator.
+#[derive(Debug, Default)]
+pub(crate) struct Shadow {
+    state: ShadowState,
+    /// Shadow hierarchies built.
+    pub(crate) builds: usize,
+    /// Mixed solves that finished on Jacobi-CG: a refinement pass
+    /// stalled, or the shadow could not be factored.
+    pub(crate) f64_fallbacks: usize,
+}
+
+impl Shadow {
+    /// A fresh slot for a [`Precision::Mixed`] solve; `None` — f64
+    /// Jacobi-CG — for [`Precision::F64`].
+    pub(crate) fn for_precision(precision: Precision) -> Option<Self> {
+        (precision == Precision::Mixed).then(Self::default)
+    }
+}
+
+#[derive(Debug, Default)]
+enum ShadowState {
+    #[default]
+    Unbuilt,
+    Ready(Box<(HierarchyF32, WorkspaceF32)>),
+    /// The coarsest Cholesky failed (poisoned operator).
+    Unfactorable,
+}
+
 impl Assembled {
-    /// Mixed-precision solve of `A·x = rhs` to `params.tol` relative:
-    /// f64 iterative refinement (see the module docs) around
-    /// [`HierarchyF32::solve_correction`]. Falls back to
-    /// [`Assembled::cg_core_mg`] from the current iterate when an outer
-    /// pass stalls, so the error contract is exactly the f64 solver's.
-    /// Only that fallback touches `f64_mg`: it is built from
-    /// `mg_params` on the first stall and stays cached in the slot for
-    /// later solves.
-    #[allow(clippy::too_many_arguments)] // internal kernel, wrapped by CgSolver
-    pub(crate) fn cg_core_mixed(
+    /// The one solve entry, behind [`crate::CgSolver::solve`],
+    /// [`crate::SolveContext::solve`],
+    /// [`crate::transient::TransientRun::step`] and the electrothermal
+    /// loop: `(A + diag(shift))·x = rhs` from the warm start in `x`.
+    /// Without a shadow it runs f64 Jacobi-CG, the oracle. With one it
+    /// runs the mixed path over the shadow's hierarchy, building it on
+    /// first use; an operator whose hierarchy cannot be factored runs
+    /// Jacobi-CG instead.
+    pub(crate) fn solve_system(
         &self,
+        shift: Option<&[f64]>,
+        rhs: &[f64],
+        x: &mut [f64],
+        params: &CgParams,
+        shadow: Option<&mut Shadow>,
+    ) -> Result<SolverStats, SolveError> {
+        let Some(Shadow {
+            state,
+            builds,
+            f64_fallbacks,
+        }) = shadow
+        else {
+            return self.cg_core(shift, rhs, x, params);
+        };
+        if matches!(state, ShadowState::Unbuilt) {
+            *state = match HierarchyF32::build(self, shift, params.threads, params.crossover) {
+                Ok(h32) => {
+                    *builds += 1;
+                    let ws = h32.workspace();
+                    ShadowState::Ready(Box::new((h32, ws)))
+                }
+                Err(_) => ShadowState::Unfactorable,
+            };
+        }
+        match state {
+            ShadowState::Ready(built) => {
+                let (h32, ws) = &mut **built;
+                self.cg_core_mixed(shift, rhs, x, params, h32, ws, f64_fallbacks)
+            }
+            _ => {
+                *f64_fallbacks += 1;
+                self.cg_core(shift, rhs, x, params)
+            }
+        }
+    }
+
+    /// Mixed-precision solve of `(A + diag(shift))·x = rhs` to
+    /// `params.tol` relative: f64 iterative refinement (see the module
+    /// docs) around [`HierarchyF32::solve_correction`]. When an outer
+    /// pass stalls it counts a fallback and finishes on
+    /// [`Assembled::cg_core`] from the refined iterate, so the error
+    /// contract is exactly the f64 solver's.
+    #[allow(clippy::too_many_arguments)] // internal kernel behind solve_system
+    fn cg_core_mixed(
+        &self,
+        shift: Option<&[f64]>,
         rhs: &[f64],
         x: &mut [f64],
         params: &CgParams,
         h32: &HierarchyF32,
         ws32: &mut WorkspaceF32,
-        mg_params: &MgParams,
-        f64_mg: &mut LazyHierarchy,
+        f64_fallbacks: &mut usize,
     ) -> Result<SolverStats, SolveError> {
         // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
         let t0 = Instant::now();
@@ -877,7 +712,7 @@ impl Assembled {
         let mut refinements = 0_usize;
         let mut stalled = false;
 
-        let mut residual = self.residual_norm(&plan, x, rhs, b_norm, &mut ax);
+        let mut residual = self.residual_norm(&plan, x, rhs, b_norm, &mut ax, shift);
         matvecs += 1;
         let mut trajectory = vec![(0, residual)];
 
@@ -908,7 +743,7 @@ impl Assembled {
             });
             refinements += 1;
             let previous = residual;
-            residual = self.residual_norm(&plan, x, rhs, b_norm, &mut ax);
+            residual = self.residual_norm(&plan, x, rhs, b_norm, &mut ax, shift);
             matvecs += 1;
             #[cfg(feature = "fault-inject")]
             {
@@ -923,11 +758,11 @@ impl Assembled {
 
         if stalled || (residual > params.tol && residual.is_finite()) {
             // f32 hit its accuracy floor (or an inner solve failed):
-            // finish in pure f64 from the current iterate. Robustness is
-            // therefore never worse than the f64 path — only the speed
+            // finish on Jacobi-CG from the refined iterate. Robustness is
+            // therefore never worse than the f64 oracle — only the speed
             // advantage is lost.
-            let (mg, ws) = f64_mg.get(self, mg_params)?;
-            let mut fb = self.cg_core_mg(rhs, x, params, mg, ws)?;
+            *f64_fallbacks += 1;
+            let mut fb = self.cg_core(shift, rhs, x, params)?;
             fb.precision = Precision::Mixed;
             fb.refinements = refinements;
             fb.iterations += inner_iterations;
@@ -967,7 +802,6 @@ impl Assembled {
             matvecs,
             cycles,
             level_residuals,
-            preconditioner: Preconditioner::Multigrid,
             precision: Precision::Mixed,
             refinements,
             assembly_seconds: self.assembly_seconds,
@@ -982,8 +816,8 @@ impl Assembled {
 mod tests {
     use super::*;
     use crate::heatsink::Heatsink;
-    use crate::multigrid::MgParams;
     use crate::problem::Problem;
+    use crate::CgSolver;
     use tsc_units::{HeatFlux, Length, ThermalConductivity};
 
     fn test_problem(nx: usize, ny: usize, nz: usize) -> Problem {
@@ -1010,26 +844,20 @@ mod tests {
             crossover: usize::MAX,
             traj_stride: 1,
         };
-        let mg_params = MgParams::with_exec(1, usize::MAX);
-        let mut f64_mg = LazyHierarchy::default();
-        let h32 = HierarchyF32::build(&asm, &mg_params, &mut f64_mg).expect("shadow");
-        let mut ws32 = h32.workspace();
+        let mut shadow = Shadow::default();
         let mut x = vec![asm.initial_guess; asm.dim.len()];
         let stats = asm
-            .cg_core_mixed(
-                &asm.rhs,
-                &mut x,
-                &params,
-                &h32,
-                &mut ws32,
-                &mg_params,
-                &mut f64_mg,
-            )
+            .solve_system(None, &asm.rhs, &mut x, &params, Some(&mut shadow))
             .expect("mixed solve");
-        assert!(
-            !f64_mg.is_built(),
-            "a healthy mixed solve needs no f64 chain"
+        assert_eq!(shadow.builds, 1);
+        assert_eq!(
+            shadow.f64_fallbacks, 0,
+            "a healthy mixed solve needs no f64"
         );
+        let ShadowState::Ready(built) = &shadow.state else {
+            panic!("the shadow factors");
+        };
+        let h32 = &built.0;
         assert_eq!(
             stats.level_residuals.len(),
             h32.dims.len(),
@@ -1079,13 +907,7 @@ mod tests {
         // paired with a line factorization per level.
         let p = test_problem(16, 16, 13);
         let asm = Assembled::build(&p).expect("assembly");
-        let mut f64_mg = LazyHierarchy::default();
-        let h32 = HierarchyF32::build(&asm, &MgParams::with_exec(1, usize::MAX), &mut f64_mg)
-            .expect("shadow");
-        assert!(
-            !f64_mg.is_built(),
-            "the chain factors without the f64 mirror"
-        );
+        let h32 = HierarchyF32::build(&asm, None, 1, usize::MAX).expect("shadow");
         assert!(h32.dims.len() >= 2, "expected a multi-level chain");
         assert!(
             h32.dims[1].nx < h32.dims[0].nx && h32.dims[1].nz < h32.dims[0].nz,
@@ -1093,7 +915,31 @@ mod tests {
             h32.dims
         );
         assert_eq!(h32.line.len(), h32.ops.len());
-        assert_eq!(h32.smoother, SmootherF32::LineZ);
+    }
+
+    #[test]
+    fn unfactorable_shadow_runs_jacobi_cg() {
+        // A NaN face conductance poisons every coarse diagonal it
+        // aggregates into: the shadow's coarsest Cholesky refuses it,
+        // and the entry runs Jacobi-CG instead, which surfaces the
+        // poison as a typed divergence.
+        let p = test_problem(16, 16, 13);
+        let mut asm = Assembled::build(&p).expect("assembly");
+        // The face between slabs 1 and 2 joins two z-aggregates.
+        asm.gz[asm.dim.nx * asm.dim.ny + 7] = f64::NAN;
+        assert!(HierarchyF32::build(&asm, None, 1, usize::MAX).is_err());
+        let params = CgSolver::new().params();
+        let mut shadow = Shadow::default();
+        for round in 1..=2 {
+            let mut x = vec![asm.initial_guess; asm.dim.len()];
+            let result = asm.solve_system(None, &asm.rhs, &mut x, &params, Some(&mut shadow));
+            assert!(matches!(shadow.state, ShadowState::Unfactorable));
+            assert_eq!((shadow.builds, shadow.f64_fallbacks), (0, round));
+            assert!(
+                matches!(result, Err(SolveError::Diverged { .. })),
+                "round {round}: {result:?}"
+            );
+        }
     }
 
     #[test]
@@ -1147,9 +993,8 @@ mod tests {
         assert_eq!(stats.precision, Precision::Mixed);
         assert!(stats.refinements >= 1, "expected refinement passes");
         assert!(x.iter().all(|v| v.is_finite()));
-        // Cross-check against the pure-f64 solver.
-        let sol = crate::solver::CgSolver::new()
-            .with_preconditioner(Preconditioner::Multigrid)
+        // Cross-check against the f64 Jacobi-CG oracle.
+        let sol = CgSolver::new()
             .with_tolerance(tol)
             .solve(&p)
             .expect("f64 solve");

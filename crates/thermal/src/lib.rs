@@ -11,11 +11,17 @@
 //! * Robin (convective) boundaries on the bottom and/or top face modelling
 //!   the attached heatsink (`G = h·A` to ambient); all side walls
 //!   adiabatic, matching the PACT default used in the paper;
-//! * two independent solvers: Jacobi-preconditioned conjugate gradients
-//!   ([`CgSolver`], the workhorse) and red-black successive
-//!   over-relaxation ([`SorSolver`], the cross-check).
+//! * one production solver and two references: [`CgSolver`] runs the
+//!   mixed-precision path ([`Precision::Mixed`]: f64 iterative
+//!   refinement over an f32 multigrid-preconditioned CG, the one
+//!   multigrid hierarchy of the workspace) or f64 Jacobi-preconditioned
+//!   CG ([`Precision::F64`], the oracle, which also finishes any mixed
+//!   solve whose refinement stalls); red-black successive
+//!   over-relaxation ([`SorSolver`]) is the independent cross-check of
+//!   the oracle. Steady, transient ([`transient`]) and electrothermal
+//!   ([`electrothermal`]) solves share one solve entry.
 //!
-//! Both solvers share a scoped-thread parallel engine: matrix-free
+//! All solvers share a scoped-thread parallel engine: matrix-free
 //! stencil products and reductions chunk across z-slab bands, with
 //! per-slab ordered reductions so any thread count reproduces the
 //! serial arithmetic bitwise (`CgSolver::with_threads`,
@@ -84,10 +90,8 @@ pub use builder::{SlabSpec, StackMeshBuilder};
 pub use context::{operator_fingerprint, ContextStats, OperatorSignature, SolveContext};
 pub use field::TemperatureField;
 pub use heatsink::Heatsink;
-pub use multigrid::{MgSolver, Smoother};
 pub use problem::Problem;
 pub use solver::{
-    CgSolver, Precision, Preconditioner, Solution, SolveError, SolverStats, SorSolver,
-    DEFAULT_PARALLEL_CROSSOVER,
+    CgSolver, Precision, Solution, SolveError, SolverStats, SorSolver, DEFAULT_PARALLEL_CROSSOVER,
 };
 pub use superpose::{affine_family, blend_solutions, AffineFamily};

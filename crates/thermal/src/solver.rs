@@ -8,10 +8,12 @@
 //! * off-diagonal: minus the shared face conductance;
 //! * right-hand side: injected power plus `G_boundary · T_ambient`.
 //!
-//! [`CgSolver`] (Jacobi-preconditioned conjugate gradients) is the
-//! workhorse; [`SorSolver`] (red-black successive over-relaxation)
-//! provides an algorithmically independent cross-check used by the
-//! validation tests.
+//! [`CgSolver`] runs one of two schemes, selected by [`Precision`]:
+//! f64 Jacobi-preconditioned conjugate gradients, the oracle, or the
+//! mixed-precision multigrid path of `crate::kernels`, the production
+//! solver. [`SorSolver`] (red-black successive over-relaxation)
+//! provides an algorithmically independent cross-check of the oracle,
+//! used by the validation tests.
 //!
 //! # Parallel execution
 //!
@@ -39,6 +41,7 @@
 use crate::analysis::EnergyBalance;
 use crate::engine::ExecPlan;
 use crate::field::TemperatureField;
+use crate::kernels::Shadow;
 use crate::problem::Problem;
 use std::time::Instant;
 use tsc_geometry::{Dim3, Grid3};
@@ -103,44 +106,22 @@ impl core::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Which preconditioner a CG solve applied (recorded in
-/// [`SolverStats::preconditioner`] so observability data identifies the
-/// algorithm that produced it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Preconditioner {
-    /// Unpreconditioned iteration (SOR, or raw residual bookkeeping).
-    None,
-    /// Diagonal (Jacobi) scaling — the PR-1 default.
-    #[default]
-    Jacobi,
-    /// One geometric-multigrid V-cycle per application (see
-    /// [`crate::multigrid`]).
-    Multigrid,
-}
-
-impl core::fmt::Display for Preconditioner {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            Self::None => "none",
-            Self::Jacobi => "jacobi",
-            Self::Multigrid => "multigrid",
-        })
-    }
-}
-
 /// Floating-point scheme of a solve (recorded in
 /// [`SolverStats::precision`], selected by [`CgSolver::with_precision`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
-    /// Pure f64 arithmetic end to end — bitwise thread-count
-    /// independent, the baseline every other path is checked against.
+    /// Jacobi-preconditioned CG in pure f64 end to end — bitwise
+    /// thread-count independent, the oracle every other path is
+    /// checked against, and the mixed path's fallback.
     #[default]
     F64,
     /// f64-corrected iterative refinement over an f32 inner MG-PCG
     /// (see `crate::kernels`): the outer residual, the correction
     /// accumulation and every convergence decision stay in f64, so the
     /// requested tolerance is honest; the bandwidth-bound smoothing and
-    /// stencil work runs in f32 at roughly half the memory traffic.
+    /// stencil work runs in f32 at roughly half the memory traffic. A
+    /// refinement pass that stalls hands over to f64 Jacobi-CG from the
+    /// refined iterate.
     Mixed,
 }
 
@@ -164,17 +145,13 @@ pub struct SolverStats {
     /// initial residual; SOR: one per residual check). Fine-grid products
     /// only — coarse-level smoothing work is summarised by `cycles`.
     pub matvecs: usize,
-    /// Multigrid V-cycles applied (0 for non-multigrid solves).
+    /// Multigrid V-cycles applied (0 for Jacobi-CG and SOR solves).
     pub cycles: usize,
-    /// Final residual 2-norm restricted to each hierarchy level, finest
-    /// first (empty for non-multigrid solves) — shows where in the grid
-    /// hierarchy the remaining error lives. A mixed-precision solve
-    /// restricts down its f32 shadow chain (fully coarsened, so fewer
-    /// levels than the f64 chain), or down the f64 chain when it fell
-    /// back to f64.
+    /// Final residual 2-norm restricted to each level of the f32 shadow
+    /// hierarchy, finest first — shows where in the grid hierarchy the
+    /// remaining error lives. Empty for Jacobi-CG and SOR solves, and
+    /// for a mixed solve that finished on Jacobi-CG.
     pub level_residuals: Vec<f64>,
-    /// The preconditioner that drove the iteration.
-    pub preconditioner: Preconditioner,
     /// The floating-point scheme that drove the iteration.
     pub precision: Precision,
     /// Outer iterative-refinement passes of a mixed-precision solve
@@ -354,10 +331,10 @@ impl Assembled {
         }
     }
 
-    /// A clone with `shift` folded into the diagonal — lets the
-    /// multigrid hierarchy precondition shifted systems
+    /// A clone with `shift` folded into the diagonal — the finest level
+    /// of the multigrid hierarchy for shifted systems
     /// `(A + diag(shift))·x = b` (the transient stepper's implicit
-    /// matrix) without threading the shift through every level.
+    /// matrix).
     pub(crate) fn shifted(&self, shift: &[f64]) -> Self {
         debug_assert_eq!(shift.len(), self.diag.len());
         let mut out = self.clone();
@@ -574,8 +551,8 @@ impl Assembled {
         }
     }
 
-    /// Relative true residual `‖b − A·x‖ / bnorm`, reduced per-slab so
-    /// the value is independent of the thread count.
+    /// Relative true residual `‖b − (A + diag(shift))·x‖ / bnorm`,
+    /// reduced per-slab so the value is independent of the thread count.
     pub(crate) fn residual_norm(
         &self,
         plan: &ExecPlan,
@@ -583,19 +560,19 @@ impl Assembled {
         b: &[f64],
         b_norm: f64,
         ax: &mut [f64],
+        shift: Option<&[f64]>,
     ) -> f64 {
         let slab = self.dim.nx * self.dim.ny;
         let parts = plan.map_mut(ax, |range, chunk| {
-            self.matvec_range(x, chunk, range.clone(), None);
+            self.matvec_range(x, chunk, range.clone(), shift);
             slab_norm2_diff_parts(&b[range], chunk, slab)
         });
         ordered_sum(parts.into_iter().flatten()).sqrt() / b_norm
     }
 
     /// Jacobi-preconditioned CG on `(A + diag(shift))·x = rhs`,
-    /// warm-started from `x` — the shared kernel behind the steady
-    /// solver ([`CgSolver::solve`]), the transient stepper and the
-    /// electrothermal loop.
+    /// warm-started from `x` — the f64 oracle of every solve entry, and
+    /// the finish of a mixed solve whose refinement stalls.
     ///
     /// Three fused regions per iteration run under the execution plan:
     /// `ap = A·pv` with `⟨pv, ap⟩`; the `x`/`r`/`z` update with
@@ -730,7 +707,6 @@ impl Assembled {
             matvecs,
             cycles: 0,
             level_residuals: Vec::new(),
-            preconditioner: Preconditioner::Jacobi,
             precision: Precision::F64,
             refinements: 0,
             assembly_seconds: self.assembly_seconds,
@@ -746,26 +722,10 @@ impl Assembled {
     /// independent — bands update concurrently and the result is
     /// identical for any thread count.
     fn sor_sweep(&self, plan: &ExecPlan, x: &mut [f64], omega: f64) {
-        self.rb_sweep(plan, x, &self.rhs, omega, [0, 1]);
-    }
-
-    /// One red-black relaxation sweep of `A·x = rhs` with an explicit
-    /// colour order — the multigrid smoother runs the colours forward
-    /// (`[0, 1]`) pre-correction and reversed (`[1, 0]`) post-correction
-    /// so the V-cycle is a *symmetric* operator (a valid SPD
-    /// preconditioner for CG). Write-disjointness per colour pass is
-    /// identical to [`Assembled::sor_sweep`].
-    pub(crate) fn rb_sweep(
-        &self,
-        plan: &ExecPlan,
-        x: &mut [f64],
-        rhs: &[f64],
-        omega: f64,
-        colours: [usize; 2],
-    ) {
         let (nx, ny, nz) = (self.dim.nx, self.dim.ny, self.dim.nz);
         let slab = nx * ny;
-        for colour in colours {
+        let rhs = &self.rhs;
+        for colour in [0, 1] {
             plan.for_each_shared(x, |range, shared| {
                 let (k_lo, k_hi) = (range.start / slab, range.end / slab);
                 for k in k_lo..k_hi {
@@ -905,7 +865,9 @@ pub(crate) fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Jacobi-preconditioned conjugate-gradient solver.
+/// Conjugate-gradient solver: f64 Jacobi-CG (the oracle, the default)
+/// or the mixed-precision multigrid path (production), per
+/// [`CgSolver::with_precision`].
 ///
 /// ```
 /// use tsc_thermal::CgSolver;
@@ -919,15 +881,13 @@ pub struct CgSolver {
     threads: usize,
     crossover: usize,
     traj_stride: usize,
-    precon: Preconditioner,
     precision: Precision,
-    smoother: crate::multigrid::Smoother,
 }
 
 impl CgSolver {
     /// Default solver: relative tolerance `1e-9`, generous iteration cap,
     /// one worker per available core above the parallel crossover,
-    /// Jacobi preconditioning, pure-f64 arithmetic.
+    /// f64 Jacobi-CG.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -936,29 +896,8 @@ impl CgSolver {
             threads: default_threads(),
             crossover: DEFAULT_PARALLEL_CROSSOVER,
             traj_stride: 100,
-            precon: Preconditioner::Jacobi,
             precision: Precision::F64,
-            smoother: crate::multigrid::Smoother::RedBlack,
         }
-    }
-
-    /// Builder: selects the preconditioner.
-    /// [`Preconditioner::Multigrid`] replaces the diagonal scaling with
-    /// one geometric-multigrid V-cycle per CG iteration — far fewer
-    /// iterations on large or strongly anisotropic meshes, identical
-    /// bitwise thread-count independence. [`Preconditioner::None`] falls
-    /// back to Jacobi (CG requires an SPD preconditioner; identity
-    /// scaling is never faster than diagonal here).
-    #[must_use]
-    pub fn with_preconditioner(mut self, precon: Preconditioner) -> Self {
-        self.precon = precon;
-        self
-    }
-
-    /// Configured preconditioner.
-    #[must_use]
-    pub fn preconditioner(&self) -> Preconditioner {
-        self.precon
     }
 
     /// Builder: selects the floating-point scheme.
@@ -968,10 +907,8 @@ impl CgSolver {
     /// f64, solves the correction equation in f32 to a loose inner
     /// tolerance, and applies the correction in f64 — the requested
     /// tolerance (down to `1e-11` and beyond) is met against the f64
-    /// residual. A mixed solve always preconditions with multigrid
-    /// internally, whatever [`CgSolver::with_preconditioner`] says, and
-    /// falls back to the pure-f64 multigrid path if refinement stalls;
-    /// the f64 multigrid hierarchy is built only for that fallback.
+    /// residual. If refinement stalls the solve finishes on f64
+    /// Jacobi-CG from the refined iterate.
     #[must_use]
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
@@ -982,25 +919,6 @@ impl CgSolver {
     #[must_use]
     pub fn precision(&self) -> Precision {
         self.precision
-    }
-
-    /// Builder: selects the multigrid smoother (effective for
-    /// [`Preconditioner::Multigrid`] and for every mixed-precision
-    /// solve). [`crate::multigrid::Smoother::Chebyshev`] replaces the
-    /// red-black sweeps with a fixed-degree Chebyshev polynomial in
-    /// `D⁻¹A` — matvec plus AXPY only, no inner reductions or coloured
-    /// scatter, so it autovectorizes and scales better in parallel while
-    /// keeping the V-cycle symmetric (valid inside CG).
-    #[must_use]
-    pub fn with_smoother(mut self, smoother: crate::multigrid::Smoother) -> Self {
-        self.smoother = smoother;
-        self
-    }
-
-    /// Configured multigrid smoother.
-    #[must_use]
-    pub fn smoother(&self) -> crate::multigrid::Smoother {
-        self.smoother
     }
 
     /// Builder: sets the relative residual tolerance.
@@ -1079,11 +997,6 @@ impl CgSolver {
         }
     }
 
-    pub(crate) fn mg_params(&self) -> crate::multigrid::MgParams {
-        crate::multigrid::MgParams::with_exec(self.threads, self.crossover)
-            .with_smoother(self.smoother)
-    }
-
     /// Solves the problem.
     ///
     /// # Errors
@@ -1095,29 +1008,8 @@ impl CgSolver {
     pub fn solve(&self, p: &Problem) -> Result<Solution, SolveError> {
         let asm = Assembled::build(p)?;
         let mut x = vec![asm.initial_guess; asm.dim.len()];
-        let stats = match (self.precision, self.precon) {
-            (Precision::Mixed, _) => {
-                let mg_params = self.mg_params();
-                let mut f64_mg = crate::multigrid::LazyHierarchy::default();
-                let h32 = crate::kernels::HierarchyF32::build(&asm, &mg_params, &mut f64_mg)?;
-                let mut ws32 = h32.workspace();
-                asm.cg_core_mixed(
-                    &asm.rhs,
-                    &mut x,
-                    &self.params(),
-                    &h32,
-                    &mut ws32,
-                    &mg_params,
-                    &mut f64_mg,
-                )?
-            }
-            (Precision::F64, Preconditioner::Multigrid) => {
-                let mg = crate::multigrid::MgHierarchy::build(&asm, &self.mg_params())?;
-                let mut ws = mg.workspace();
-                asm.cg_core_mg(&asm.rhs, &mut x, &self.params(), &mg, &mut ws)?
-            }
-            _ => asm.cg_core(None, &asm.rhs, &mut x, &self.params())?,
-        };
+        let mut shadow = Shadow::for_precision(self.precision);
+        let stats = asm.solve_system(None, &asm.rhs, &mut x, &self.params(), shadow.as_mut())?;
         let injected = p.total_power().watts();
         Ok(asm.solution(&x, stats, injected))
     }
@@ -1273,11 +1165,11 @@ impl SorSolver {
             let last = sweeps == max_sweeps;
             if sweeps.is_multiple_of(self.check_interval) || last {
                 #[cfg(not(feature = "fault-inject"))]
-                let r = asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch);
+                let r = asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch, None);
                 #[cfg(feature = "fault-inject")]
                 let r = crate::fault::corrupt_residual(
                     sweeps,
-                    asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch),
+                    asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch, None),
                 );
                 matvecs += 1;
                 trajectory.push((sweeps, r));
@@ -1306,7 +1198,6 @@ impl SorSolver {
             matvecs,
             cycles: 0,
             level_residuals: Vec::new(),
-            preconditioner: Preconditioner::None,
             precision: Precision::F64,
             refinements: 0,
             assembly_seconds: asm.assembly_seconds,

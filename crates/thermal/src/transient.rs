@@ -7,12 +7,15 @@
 //! and fine-grained power gating (Fig. 12) is inherently temporal, so
 //! this module completes the substitution.
 //!
-//! Each step solves `(C/Δt + A)·T' = C/Δt·T + b` with the same
-//! Jacobi-preconditioned CG kernel; implicit Euler is unconditionally
-//! stable, so Δt is chosen for accuracy, not stability.
+//! Each step solves `(C/Δt + A)·T' = C/Δt·T + b` through the same solve
+//! entry as the steady solver: f64 Jacobi-CG by default, or — with
+//! [`TransientRun::with_multigrid`] — the mixed-precision multigrid
+//! path over the shifted operator, which the serving tier streams.
+//! Implicit Euler is unconditionally stable, so Δt is chosen for
+//! accuracy, not stability.
 
 use crate::field::TemperatureField;
-use crate::multigrid::{MgHierarchy, MgParams, MgWorkspace};
+use crate::kernels::Shadow;
 use crate::problem::Problem;
 use crate::solver::{Assembled, CgParams, SolveError, SolverStats, DEFAULT_PARALLEL_CROSSOVER};
 use std::fmt;
@@ -70,35 +73,11 @@ pub struct TransientRun {
     max_iter: usize,
     threads: usize,
     crossover: usize,
-    mg: Option<TransientMg>,
-}
-
-/// Multigrid state for the implicit matrix `A + diag(C/Δt)`: the shift
-/// is constant across steps, so the shifted operator and its hierarchy
-/// are built once per (re-)staging and reused by every step.
-#[derive(Debug)]
-struct TransientMg {
-    shifted: Assembled,
-    hierarchy: MgHierarchy,
-    workspace: MgWorkspace,
-}
-
-impl TransientMg {
-    fn build(
-        asm: &Assembled,
-        cap_over_dt: &[f64],
-        threads: usize,
-        crossover: usize,
-    ) -> Result<Self, SolveError> {
-        let shifted = asm.shifted(cap_over_dt);
-        let hierarchy = MgHierarchy::build(&shifted, &MgParams::with_exec(threads, crossover))?;
-        let workspace = hierarchy.workspace();
-        Ok(Self {
-            shifted,
-            hierarchy,
-            workspace,
-        })
-    }
+    /// Mixed-path state for the implicit matrix `A + diag(C/Δt)`: the
+    /// shift is constant across steps, so its hierarchy is built on the
+    /// first step after each (re-)staging and reused by every later one.
+    /// `None` steps on Jacobi-CG.
+    mg: Option<Shadow>,
 }
 
 impl TransientRun {
@@ -159,23 +138,17 @@ impl TransientRun {
         })
     }
 
-    /// Builder: preconditions every step's inner CG solve with a
-    /// geometric-multigrid V-cycle over the shifted implicit matrix
-    /// `A + diag(C/Δt)`. The hierarchy is built once here and reused by
-    /// every [`TransientRun::step`]; [`TransientRun::restage_power`]
-    /// rebuilds it (the operator may change).
-    ///
-    /// # Errors
-    ///
-    /// Propagates a coarse-grid factorization failure (non-SPD operator).
-    pub fn with_multigrid(mut self) -> Result<Self, SolveError> {
-        self.mg = Some(TransientMg::build(
-            &self.asm,
-            &self.cap_over_dt,
-            self.threads,
-            self.crossover,
-        )?);
-        Ok(self)
+    /// Builder: steps on the mixed-precision multigrid path — f64
+    /// iterative refinement over an f32 MG-PCG of the shifted implicit
+    /// matrix `A + diag(C/Δt)`, finishing on Jacobi-CG if a pass
+    /// stalls. The hierarchy is built on the first
+    /// [`TransientRun::step`] and reused by every later one;
+    /// [`TransientRun::restage_power`] rebuilds it (the operator may
+    /// change).
+    #[must_use]
+    pub fn with_multigrid(mut self) -> Self {
+        self.mg = Some(Shadow::default());
+        self
     }
 
     /// Builder: caps the worker threads of the inner CG solves (default:
@@ -191,7 +164,7 @@ impl TransientRun {
         self
     }
 
-    /// Whether multigrid preconditioning is active.
+    /// Whether steps run on the mixed-precision multigrid path.
     #[must_use]
     pub fn uses_multigrid(&self) -> bool {
         self.mg.is_some()
@@ -295,13 +268,8 @@ impl TransientRun {
             "restaged problem must keep the same mesh"
         );
         self.asm = Assembled::build(problem)?;
-        if self.mg.is_some() {
-            self.mg = Some(TransientMg::build(
-                &self.asm,
-                &self.cap_over_dt,
-                self.threads,
-                self.crossover,
-            )?);
+        if let Some(mg) = &mut self.mg {
+            *mg = Shadow::default();
         }
         Ok(())
     }
@@ -310,7 +278,7 @@ impl TransientRun {
     ///
     /// # Errors
     ///
-    /// [`SolveError::NotConverged`] if the inner CG solve stalls.
+    /// [`SolveError::NotConverged`] if the inner solve stalls.
     pub fn step(&mut self) -> Result<SolverStats, SolveError> {
         // rhs = b + (C/dt)·T ; matrix = A + diag(C/dt).
         let mut rhs = self.asm.rhs().to_vec();
@@ -328,21 +296,13 @@ impl TransientRun {
             crossover: self.crossover,
             traj_stride: usize::MAX,
         };
-        let stats = match &mut self.mg {
-            Some(mg) => mg.shifted.cg_core_mg(
-                &rhs,
-                &mut self.temperatures,
-                &params,
-                &mg.hierarchy,
-                &mut mg.workspace,
-            )?,
-            None => self.asm.cg_core(
-                Some(&self.cap_over_dt),
-                &rhs,
-                &mut self.temperatures,
-                &params,
-            )?,
-        };
+        let stats = self.asm.solve_system(
+            Some(&self.cap_over_dt),
+            &rhs,
+            &mut self.temperatures,
+            &params,
+            self.mg.as_mut(),
+        )?;
         self.time += self.dt;
         self.steps += 1;
         Ok(stats)
@@ -653,18 +613,15 @@ mod tests {
         let mut plain = TransientRun::new(&p_on, &caps(&p_on), 5e-6, amb).expect("well-posed");
         let mut mg = TransientRun::new(&p_on, &caps(&p_on), 5e-6, amb)
             .expect("well-posed")
-            .with_multigrid()
-            .expect("spd operator");
+            .with_multigrid();
         assert!(mg.uses_multigrid());
         for _ in 0..10 {
             plain.step().expect("plain step");
             let stats = mg.step().expect("mg step");
-            assert_eq!(
-                stats.preconditioner,
-                crate::solver::Preconditioner::Multigrid
-            );
+            assert_eq!(stats.precision, crate::solver::Precision::Mixed);
+            assert!(stats.cycles > 0);
         }
-        // Restage to gated power: the MG hierarchy is rebuilt and both
+        // Restage to gated power: the hierarchy is rebuilt and both
         // runs keep tracking each other.
         plain.restage_power(&p_off).expect("same mesh");
         mg.restage_power(&p_off).expect("same mesh");
@@ -680,7 +637,7 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .fold(0.0_f64, f64::max);
         // Each step solves to 1e-9 relative residual with a different
-        // preconditioner; twenty steps accumulate O(1e-6) K of drift.
+        // scheme; twenty steps accumulate O(1e-6) K of drift.
         assert!(
             max_dev < 1e-5,
             "MG and Jacobi trajectories must agree, max |dT| = {max_dev}"
@@ -694,12 +651,10 @@ mod tests {
         let amb = Heatsink::two_phase().ambient;
         let mut full = TransientRun::new(&p_on, &caps(&p_on), 5e-6, amb)
             .expect("well-posed")
-            .with_multigrid()
-            .expect("spd operator");
+            .with_multigrid();
         let mut delta = TransientRun::new(&p_on, &caps(&p_on), 5e-6, amb)
             .expect("well-posed")
-            .with_multigrid()
-            .expect("spd operator");
+            .with_multigrid();
         full.run(8).expect("heat up");
         delta.run(8).expect("heat up");
         full.restage_power(&p_off).expect("same mesh");

@@ -5,7 +5,7 @@
 //! question.
 
 use tsc_thermal::network::{Ladder, TierRung};
-use tsc_thermal::{CgSolver, Heatsink, MgSolver, Problem, SorSolver};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, SorSolver};
 use tsc_units::{
     AreaThermalResistance, HeatFlux, HeatTransferCoefficient, Length, Power, Temperature,
     ThermalConductivity,
@@ -33,7 +33,13 @@ fn zero_power_stack_sits_at_ambient_everywhere() {
     for (label, solution) in [
         ("cg", CgSolver::new().solve(&p).expect("cg")),
         ("sor", SorSolver::new().solve(&p).expect("sor")),
-        ("mg", MgSolver::new().solve(&p).expect("mg")),
+        (
+            "mixed",
+            CgSolver::new()
+                .with_precision(Precision::Mixed)
+                .solve(&p)
+                .expect("mixed"),
+        ),
     ] {
         for (cell, t) in solution.temperatures.iter_kelvin().enumerate() {
             assert!(

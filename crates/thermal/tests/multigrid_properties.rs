@@ -1,6 +1,7 @@
-//! Randomized property tests for the geometric-multigrid solver and the
-//! multigrid-preconditioned CG: agreement with the plain Jacobi-CG
-//! reference, per-cycle residual contraction, and the bitwise
+//! Randomized property tests for the multigrid path — f64 iterative
+//! refinement over the f32 multigrid-preconditioned CG, for steady
+//! solves and transient steps: agreement with the plain Jacobi-CG
+//! reference, per-pass residual contraction, and the bitwise
 //! parallel-equivalence guarantee inherited from the stencil engine.
 //!
 //! Meshes here are larger and more heterogeneous than the plain-solver
@@ -8,8 +9,10 @@
 //! with: per-layer conductivity contrast, random sink strength, and a
 //! handful of scattered sources.
 
+use tsc_geometry::Grid3;
 use tsc_rng::Rng64;
-use tsc_thermal::{CgSolver, Heatsink, MgSolver, Preconditioner, Problem};
+use tsc_thermal::transient::{capacity, TransientRun};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem};
 use tsc_units::{HeatTransferCoefficient, Length, Power, Temperature, ThermalConductivity};
 
 /// A random heterogeneous stack: every layer gets its own conductivity
@@ -89,29 +92,23 @@ fn max_dev_kelvin(a: &tsc_thermal::Solution, b: &tsc_thermal::Solution) -> f64 {
         .fold(0.0_f64, f64::max)
 }
 
-/// Standalone V-cycle iteration and MG-preconditioned CG must land on
-/// the same temperature field as the plain Jacobi-CG reference.
+fn mixed() -> CgSolver {
+    CgSolver::new().with_precision(Precision::Mixed)
+}
+
+/// The mixed path's MG-preconditioned inner solve, refined in f64, must
+/// land on the same temperature field as the plain Jacobi-CG reference.
 #[test]
-fn mg_and_mg_pcg_agree_with_plain_cg() {
+fn mixed_mg_pcg_agrees_with_plain_cg() {
     let mut rng = Rng64::seed_from_u64(0x7001);
     for _ in 0..10 {
         let case = HeteroCase::sample(&mut rng);
         let p = build(&case);
         let reference = CgSolver::new().solve(&p).expect("jacobi cg");
-        let standalone = MgSolver::new()
-            .with_tolerance(1e-10)
-            .with_coarse_limit(24)
-            .solve(&p)
-            .expect("standalone mg");
-        let pcg = CgSolver::new()
-            .with_preconditioner(Preconditioner::Multigrid)
-            .solve(&p)
-            .expect("mg-pcg");
-        let dev_mg = max_dev_kelvin(&standalone, &reference);
+        let pcg = mixed().solve(&p).expect("mixed mg-pcg");
         let dev_pcg = max_dev_kelvin(&pcg, &reference);
-        assert!(dev_mg < 1e-6, "standalone MG deviates by {dev_mg} K");
-        assert!(dev_pcg < 1e-6, "MG-PCG deviates by {dev_pcg} K");
-        assert_eq!(pcg.stats.preconditioner, Preconditioner::Multigrid);
+        assert!(dev_pcg < 1e-6, "mixed MG-PCG deviates by {dev_pcg} K");
+        assert_eq!(pcg.stats.precision, Precision::Mixed);
         assert!(pcg.stats.cycles > 0, "MG-PCG must report V-cycle count");
         assert!(
             !pcg.stats.level_residuals.is_empty(),
@@ -120,65 +117,76 @@ fn mg_and_mg_pcg_agree_with_plain_cg() {
     }
 }
 
-/// Every V-cycle of the standalone solver contracts the residual: the
-/// sampled trajectory must be strictly decreasing (up to the tolerance
-/// floor where rounding can stall it).
+/// Every refinement pass — one inner MG-PCG solve — contracts the f64
+/// residual: the trajectory is strictly decreasing.
 #[test]
-fn every_v_cycle_contracts_the_residual() {
+fn every_refinement_pass_contracts_the_residual() {
     let mut rng = Rng64::seed_from_u64(0x7002);
     for _ in 0..10 {
         let case = HeteroCase::sample(&mut rng);
         let p = build(&case);
-        let sol = MgSolver::new()
-            .with_coarse_limit(24)
+        let sol = mixed()
+            .with_tolerance(1e-11)
             .solve(&p)
-            .expect("mg solves");
+            .expect("mixed solves");
         let traj = &sol.stats.trajectory;
         assert!(traj.len() >= 2, "trajectory too short: {traj:?}");
+        assert_eq!(sol.stats.refinements + 1, traj.len(), "one sample per pass");
         for pair in traj.windows(2) {
             let (_, before) = pair[0];
             let (_, after) = pair[1];
             assert!(
                 after < before,
-                "V-cycle failed to contract: {before} -> {after} (case {case:?})"
+                "refinement pass failed to contract: {before} -> {after} (case {case:?})"
             );
         }
     }
 }
 
-/// Forced-parallel (threads > 1, crossover 0 so even tiny meshes band)
-/// and serial multigrid must produce *bitwise identical* results — the
-/// ordered-reduction guarantee extends through smoothing, transfers and
-/// the preconditioned CG loop.
+/// Transient stepping on the multigrid path keeps the engine's
+/// determinism: a mesh at the parallel crossover bands its finest level
+/// across threads, and every thread count reproduces the serial bits.
 #[test]
 fn forced_parallel_mg_is_bitwise_identical_to_serial() {
-    let mut rng = Rng64::seed_from_u64(0x7003);
-    for _ in 0..8 {
-        let case = HeteroCase::sample(&mut rng);
-        let p = build(&case);
-        for threads in [3, 4] {
-            let serial = MgSolver::new()
-                .with_threads(1)
-                .with_coarse_limit(24)
-                .solve(&p)
-                .expect("serial mg");
-            let parallel = MgSolver::new()
-                .with_threads(threads)
-                .with_parallel_crossover(0)
-                .with_coarse_limit(24)
-                .solve(&p)
-                .expect("parallel mg");
-            let identical = serial
-                .temperatures
-                .iter_kelvin()
-                .zip(parallel.temperatures.iter_kelvin())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(
-                identical,
-                "standalone MG not bitwise thread-independent at {threads} threads"
-            );
-            assert_eq!(serial.stats.iterations, parallel.stats.iterations);
+    let mut p = Problem::uniform_block(
+        32,
+        32,
+        32,
+        Length::from_millimeters(0.5),
+        Length::from_millimeters(0.5),
+        Length::from_micrometers(20.0),
+        ThermalConductivity::new(148.0),
+    );
+    assert_eq!(p.dim().len(), tsc_thermal::DEFAULT_PARALLEL_CROSSOVER);
+    p.set_layer_conductivity(
+        9,
+        ThermalConductivity::new(1.2),
+        ThermalConductivity::new(2.4),
+    );
+    p.set_bottom_heatsink(Heatsink::two_phase());
+    p.add_power(20, 11, 31, Power::from_watts(2.0));
+    p.add_power(4, 27, 20, Power::from_watts(0.5));
+    let caps = Grid3::filled(p.dim(), capacity::SILICON);
+    let trajectory = |threads: usize| {
+        let mut run = TransientRun::new(&p, &caps, 1e-4, Heatsink::two_phase().ambient)
+            .expect("well-posed")
+            .with_threads(threads)
+            .with_multigrid();
+        let mut bits = Vec::new();
+        for _ in 0..3 {
+            let stats = run.step().expect("step");
+            assert_eq!(stats.threads, threads, "the finest level must band");
+            assert_eq!(stats.precision, Precision::Mixed);
+            bits.extend(run.temperatures().iter_kelvin().map(f64::to_bits));
         }
+        bits
+    };
+    let serial = trajectory(1);
+    for threads in [2, 4] {
+        assert!(
+            trajectory(threads) == serial,
+            "transient MG stepping not bitwise thread-independent at {threads} threads"
+        );
     }
 }
 
@@ -189,17 +197,12 @@ fn forced_parallel_mg_pcg_is_bitwise_identical_to_serial() {
         let case = HeteroCase::sample(&mut rng);
         let p = build(&case);
         for threads in [3, 4] {
-            let serial = CgSolver::new()
-                .with_preconditioner(Preconditioner::Multigrid)
-                .with_threads(1)
-                .solve(&p)
-                .expect("serial mg-pcg");
-            let parallel = CgSolver::new()
-                .with_preconditioner(Preconditioner::Multigrid)
+            let serial = mixed().with_threads(1).solve(&p).expect("serial mixed");
+            let parallel = mixed()
                 .with_threads(threads)
                 .with_parallel_crossover(0)
                 .solve(&p)
-                .expect("parallel mg-pcg");
+                .expect("parallel mixed");
             let identical = serial
                 .temperatures
                 .iter_kelvin()
@@ -207,7 +210,7 @@ fn forced_parallel_mg_pcg_is_bitwise_identical_to_serial() {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(
                 identical,
-                "MG-PCG not bitwise thread-independent at {threads} threads"
+                "mixed MG-PCG not bitwise thread-independent at {threads} threads"
             );
             assert_eq!(serial.stats.iterations, parallel.stats.iterations);
             assert_eq!(serial.stats.cycles, parallel.stats.cycles);
@@ -216,8 +219,8 @@ fn forced_parallel_mg_pcg_is_bitwise_identical_to_serial() {
 }
 
 /// The preconditioner actually earns its keep: on these heterogeneous
-/// meshes MG-PCG must never need more fine-grid iterations than plain
-/// Jacobi CG, and must win clearly on aggregate.
+/// meshes the mixed path's inner MG-PCG must never need more
+/// iterations than plain Jacobi CG, and must win clearly on aggregate.
 #[test]
 fn mg_pcg_needs_fewer_iterations_than_jacobi() {
     let mut rng = Rng64::seed_from_u64(0x7005);
@@ -226,10 +229,7 @@ fn mg_pcg_needs_fewer_iterations_than_jacobi() {
         let case = HeteroCase::sample(&mut rng);
         let p = build(&case);
         let jacobi = CgSolver::new().solve(&p).expect("jacobi");
-        let mg = CgSolver::new()
-            .with_preconditioner(Preconditioner::Multigrid)
-            .solve(&p)
-            .expect("mg-pcg");
+        let mg = mixed().solve(&p).expect("mixed");
         assert!(
             mg.stats.iterations <= jacobi.stats.iterations,
             "MG-PCG took {} iterations vs Jacobi's {} (case {case:?})",

@@ -1,6 +1,7 @@
 //! Solver-level race-check suite (`--features race-check` only):
-//! forced-parallel CG/SOR/multigrid solves with the write-set checker
-//! live, plus schedule-perturbation bitwise-identity checks.
+//! forced-parallel Jacobi-CG, SOR and mixed-precision multigrid solves
+//! and mixed transient steps with the write-set checker live, plus
+//! schedule-perturbation bitwise-identity checks.
 //!
 //! The process-global schedule seed and region counter are shared by
 //! every test in this binary, so all tests serialize on one lock.
@@ -8,11 +9,10 @@
 #![cfg(feature = "race-check")]
 
 use std::sync::{Mutex, MutexGuard};
+use tsc_geometry::Grid3;
 use tsc_thermal::race;
-use tsc_thermal::{
-    CgSolver, Heatsink, MgSolver, Precision, Preconditioner, Problem, Smoother, Solution,
-    SolveError, SorSolver,
-};
+use tsc_thermal::transient::{capacity, TransientRun};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, Solution, SolveError, SorSolver};
 use tsc_units::{HeatFlux, Length, ThermalConductivity};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
@@ -87,31 +87,6 @@ fn sor_parallel_solve_is_race_checked() {
 }
 
 #[test]
-fn multigrid_parallel_solve_is_race_checked() {
-    let _g = lock();
-    let sol = solve_checked("mg", |p| {
-        MgSolver::new()
-            .with_threads(4)
-            .with_parallel_crossover(0)
-            .solve(p)
-    });
-    assert!(sol.temperatures.max_temperature().kelvin().is_finite());
-}
-
-#[test]
-fn mg_preconditioned_cg_is_race_checked() {
-    let _g = lock();
-    let sol = solve_checked("cg+mg", |p| {
-        CgSolver::new()
-            .with_preconditioner(Preconditioner::Multigrid)
-            .with_threads(4)
-            .with_parallel_crossover(0)
-            .solve(p)
-    });
-    assert!(sol.temperatures.max_temperature().kelvin().is_finite());
-}
-
-#[test]
 fn mixed_precision_solve_is_race_checked() {
     let _g = lock();
     let sol = solve_checked("cg-mixed", |p| {
@@ -124,18 +99,69 @@ fn mixed_precision_solve_is_race_checked() {
     assert!(sol.temperatures.max_temperature().kelvin().is_finite());
 }
 
+/// Transient steps band only at the default parallel crossover, so the
+/// transient fixture is a 32³ mesh: four bands of eight slabs.
+fn transient_bits(threads: usize) -> Vec<u64> {
+    let mut p = Problem::uniform_block(
+        32,
+        32,
+        32,
+        Length::from_millimeters(0.5),
+        Length::from_millimeters(0.5),
+        Length::from_micrometers(20.0),
+        ThermalConductivity::new(148.0),
+    );
+    p.set_layer_conductivity(
+        9,
+        ThermalConductivity::new(1.5),
+        ThermalConductivity::new(3.0),
+    );
+    p.set_bottom_heatsink(Heatsink::two_phase());
+    p.add_uniform_top_flux(HeatFlux::from_watts_per_square_cm(120.0));
+    let caps = Grid3::filled(p.dim(), capacity::SILICON);
+    let mut run = TransientRun::new(&p, &caps, 1e-4, Heatsink::two_phase().ambient)
+        .expect("well-posed")
+        .with_threads(threads)
+        .with_multigrid();
+    for _ in 0..2 {
+        let stats = run.step().expect("mixed step");
+        assert_eq!(stats.threads, threads, "the finest level must band");
+    }
+    run.temperatures().iter_kelvin().map(f64::to_bits).collect()
+}
+
 #[test]
-fn chebyshev_multigrid_solve_is_race_checked() {
+fn mixed_transient_step_is_race_checked() {
     let _g = lock();
-    let sol = solve_checked("cg+mg-cheb", |p| {
-        CgSolver::new()
-            .with_preconditioner(Preconditioner::Multigrid)
-            .with_smoother(Smoother::Chebyshev)
-            .with_threads(4)
-            .with_parallel_crossover(0)
-            .solve(p)
-    });
-    assert!(sol.temperatures.max_temperature().kelvin().is_finite());
+    race::set_schedule_seed(None);
+    race::reset_regions();
+    let parallel = transient_bits(4);
+    assert!(
+        race::regions_checked() > 0,
+        "transient: no parallel regions were audited — instrumentation did not run"
+    );
+    assert_eq!(
+        parallel,
+        transient_bits(1),
+        "transient: 4 threads changed the mixed-step bits"
+    );
+}
+
+/// Permuted band schedules must not change a mixed transient step.
+#[test]
+fn permuted_schedules_keep_mixed_transient_steps_bitwise() {
+    let _g = lock();
+    race::set_schedule_seed(None);
+    let baseline = transient_bits(4);
+    for seed in [5_u64, 17] {
+        race::set_schedule_seed(Some(seed));
+        let perturbed = transient_bits(4);
+        race::set_schedule_seed(None);
+        assert_eq!(
+            perturbed, baseline,
+            "transient: schedule seed {seed} changed the field"
+        );
+    }
 }
 
 /// Permuting the band execution order must not change a single bit of
@@ -145,7 +171,7 @@ fn chebyshev_multigrid_solve_is_race_checked() {
 fn permuted_schedules_are_bitwise_identical() {
     let _g = lock();
     let p = problem();
-    let solvers: [(&str, SolveFn); 5] = [
+    let solvers: [(&str, SolveFn); 3] = [
         ("cg", |p| {
             CgSolver::new()
                 .with_threads(4)
@@ -158,23 +184,9 @@ fn permuted_schedules_are_bitwise_identical() {
                 .with_parallel_crossover(0)
                 .solve(p)
         }),
-        ("mg", |p| {
-            MgSolver::new()
-                .with_threads(4)
-                .with_parallel_crossover(0)
-                .solve(p)
-        }),
         ("cg-mixed", |p| {
             CgSolver::new()
                 .with_precision(Precision::Mixed)
-                .with_threads(4)
-                .with_parallel_crossover(0)
-                .solve(p)
-        }),
-        ("cg+mg-cheb", |p| {
-            CgSolver::new()
-                .with_preconditioner(Preconditioner::Multigrid)
-                .with_smoother(Smoother::Chebyshev)
                 .with_threads(4)
                 .with_parallel_crossover(0)
                 .solve(p)

@@ -7,8 +7,8 @@
 //!   data, injected into [`tsc_thermal::Problem`] via the per-column
 //!   ambient-map hooks, so every solver's discretization order can be
 //!   *measured* (`cargo test -p tsc-verify` asserts L2 order ≳ 2 across
-//!   mesh refinements for CG, MG-preconditioned CG, SOR, and standalone
-//!   multigrid).
+//!   mesh refinements for Jacobi-CG, the mixed-precision multigrid
+//!   path, and SOR).
 //! * [`golden`] — a **golden-flow regression harness**: the paper flows
 //!   run on reduced fixtures, key scalars snapshot to
 //!   `tests/golden/*.json`, compared with per-field relative tolerances.

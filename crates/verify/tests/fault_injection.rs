@@ -12,13 +12,14 @@
 //! widens the sweep with `FAULT_SEEDS=8`.
 #![cfg(feature = "fault-inject")]
 
+use tsc_geometry::Grid3;
 use tsc_thermal::electrothermal::{solve_electrothermal_with, ElectrothermalError, LeakageModel};
 use tsc_thermal::fault::{self, FaultKind, FaultPlan};
-use tsc_thermal::{
-    CgSolver, Heatsink, MgSolver, Precision, Preconditioner, Problem, SolveContext, SolveError,
-    SorSolver,
+use tsc_thermal::transient::{capacity, TransientRun};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, SolveContext, SolveError, SorSolver};
+use tsc_units::{
+    HeatTransferCoefficient, Length, Power, TempDelta, Temperature, ThermalConductivity,
 };
-use tsc_units::{Length, Power, TempDelta, Temperature, ThermalConductivity};
 
 fn fixture() -> Problem {
     let mut p = Problem::uniform_block(
@@ -47,27 +48,22 @@ fn seed_count() -> u64 {
 
 type SolverFn = fn(&Problem) -> Result<tsc_thermal::Solution, SolveError>;
 
-const SOLVERS: [(&str, SolverFn); 4] = [
+/// Every solver in the workspace: the f64 Jacobi-CG oracle, the SOR
+/// cross-check, and the production configuration — f64 iterative
+/// refinement around the f32 MG-PCG.
+const SOLVERS: [(&str, SolverFn); 3] = [
     ("cg-jacobi", |p| CgSolver::new().solve(p)),
-    ("cg-mg", |p| {
-        CgSolver::new()
-            .with_preconditioner(Preconditioner::Multigrid)
-            .solve(p)
-    }),
     ("sor", |p| SorSolver::new().solve(p)),
-    ("mg", |p| MgSolver::new().solve(p)),
+    (MIXED, |p| mixed_solver().solve(p)),
 ];
 
-/// The production configuration: f64 iterative refinement around the
-/// f32 MG-PCG. Its refinement budget is not an iteration cap (running
-/// out of passes falls back to f64 MG-PCG by design), so it sits out
-/// the budget-truncation test and joins every data-corrupting one.
-const MIXED: (&str, SolverFn) = ("cg-mixed", |p| mixed_solver().solve(p));
+/// The mixed path's refinement budget is not an iteration cap (running
+/// out of passes finishes on Jacobi-CG by design), so it sits out the
+/// budget-truncation test and joins every data-corrupting one.
+const MIXED: &str = "cg-mixed";
 
 fn mixed_solver() -> CgSolver {
-    CgSolver::new()
-        .with_preconditioner(Preconditioner::Multigrid)
-        .with_precision(Precision::Mixed)
+    CgSolver::new().with_precision(Precision::Mixed)
 }
 
 /// The core contract: under any armed fault, a solver either returns a
@@ -113,7 +109,7 @@ fn assert_fault_surfaces(label: &str, solve: SolverFn, plan: FaultPlan) {
 
 #[test]
 fn seeded_faults_never_yield_silent_ok() {
-    for (label, solve) in SOLVERS.into_iter().chain([MIXED]) {
+    for (label, solve) in SOLVERS {
         for seed in 0..seed_count() {
             assert_fault_surfaces(label, solve, FaultPlan::from_seed(seed).targeting_solve(0));
         }
@@ -122,7 +118,7 @@ fn seeded_faults_never_yield_silent_ok() {
 
 #[test]
 fn poisoned_iterates_diverge_in_every_solver() {
-    for (label, solve) in SOLVERS.into_iter().chain([MIXED]) {
+    for (label, solve) in SOLVERS {
         for kind in [FaultKind::PoisonCellNan, FaultKind::PoisonCellInf] {
             let plan = FaultPlan {
                 kind,
@@ -146,7 +142,7 @@ fn poisoned_iterates_diverge_in_every_solver() {
 
 #[test]
 fn corrupted_residuals_diverge_in_every_solver() {
-    for (label, solve) in SOLVERS.into_iter().chain([MIXED]) {
+    for (label, solve) in SOLVERS {
         for kind in [FaultKind::ResidualNan, FaultKind::ResidualInf] {
             let plan = FaultPlan {
                 kind,
@@ -170,7 +166,7 @@ fn corrupted_residuals_diverge_in_every_solver() {
 
 #[test]
 fn truncated_budgets_surface_as_not_converged() {
-    for (label, solve) in SOLVERS {
+    for (label, solve) in SOLVERS.into_iter().filter(|&(label, _)| label != MIXED) {
         let plan = FaultPlan {
             kind: FaultKind::TruncateBudget,
             target_solve: 0,
@@ -203,11 +199,11 @@ fn truncated_budgets_surface_as_not_converged() {
 }
 
 #[test]
-fn mixed_stall_builds_the_f64_hierarchy_once_and_still_converges() {
+fn mixed_stall_finishes_on_jacobi_cg() {
     // A refinement pass reported as not contracting must hand over to
-    // f64 MG-PCG from the current iterate: the context builds the f64
-    // hierarchy then, keeps it for the next stall, and the answer still
-    // meets the tolerance.
+    // f64 Jacobi-CG from the refined iterate: no hierarchy beyond the
+    // f32 one is built, the context counts each Jacobi-CG finish, and
+    // the answer still meets the tolerance.
     let stall = FaultPlan {
         kind: FaultKind::ResidualStall,
         target_solve: 0,
@@ -224,8 +220,12 @@ fn mixed_stall_builds_the_f64_hierarchy_once_and_still_converges() {
         let injections = fault::injections();
         fault::disarm();
         assert_eq!(injections, 1, "round {round}: the stall must fire");
-        let sol = result.expect("a stalled pass falls back to f64 and converges");
+        let sol = result.expect("a stalled pass finishes on Jacobi-CG and converges");
         assert_eq!(sol.stats.precision, Precision::Mixed);
+        assert_eq!(
+            sol.stats.refinements, 1,
+            "round {round}: one pass, then the stall"
+        );
         assert!(
             sol.stats.residual <= tol,
             "round {round}: residual {}",
@@ -246,12 +246,77 @@ fn mixed_stall_builds_the_f64_hierarchy_once_and_still_converges() {
             "round {round}: {max_dev} K off the reference"
         );
         let stats = ctx.stats();
-        assert_eq!(stats.hierarchy_builds, 1, "one f32 shadow");
+        assert_eq!(stats.hierarchy_builds, 1, "one f32 hierarchy");
         assert_eq!(
-            stats.fallback_hierarchy_builds, 1,
-            "round {round}: the f64 hierarchy is built on the first stall and cached"
+            stats.f64_fallbacks,
+            round + 1,
+            "round {round}: every stalled solve finishes on Jacobi-CG"
         );
         p.add_power(3, 3, 5, Power::from_watts(0.5));
+    }
+}
+
+#[test]
+fn mixed_transient_stall_finishes_on_jacobi_cg() {
+    // The same hand-over inside a transient step: the stalled step
+    // still meets the stepper's 1e-9 tolerance and lands where a
+    // Jacobi-CG step from the same state lands.
+    let p = fixture();
+    let caps = Grid3::filled(p.dim(), capacity::SILICON);
+    let ambient = Heatsink::two_phase().ambient;
+    let mut mixed = TransientRun::new(&p, &caps, 1e-4, ambient)
+        .expect("well-posed")
+        .with_multigrid();
+    let mut jacobi = TransientRun::new(&p, &caps, 1e-4, ambient).expect("well-posed");
+    mixed.step().expect("clean mixed step");
+    jacobi.step().expect("clean jacobi step");
+    fault::arm(FaultPlan {
+        kind: FaultKind::ResidualStall,
+        target_solve: 0,
+        trigger_iteration: 1,
+        cell_position: 0.0,
+    });
+    let result = mixed.step();
+    let injections = fault::injections();
+    fault::disarm();
+    assert_eq!(injections, 1, "the stall must fire");
+    let stats = result.expect("a stalled step finishes on Jacobi-CG");
+    assert_eq!(stats.precision, Precision::Mixed);
+    assert!(stats.residual <= 1e-9, "residual {}", stats.residual);
+    jacobi.step().expect("clean jacobi step");
+    let max_dev = mixed
+        .temperatures()
+        .iter_kelvin()
+        .zip(jacobi.temperatures().iter_kelvin())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0_f64, f64::max);
+    assert!(max_dev < 1e-6, "{max_dev} K off the Jacobi-CG step");
+}
+
+#[test]
+fn unfactorable_operator_runs_jacobi_cg() {
+    // A NaN film coefficient poisons the operator itself: the f32
+    // hierarchy's coarsest Cholesky refuses it, the mixed solve runs
+    // Jacobi-CG instead of building any other hierarchy, and the
+    // poison surfaces as a typed error — never an Ok with NaNs.
+    let mut p = fixture();
+    p.set_bottom_heatsink(Heatsink::new(
+        HeatTransferCoefficient::new(f64::NAN),
+        Heatsink::two_phase().ambient,
+    ));
+    let mut ctx = SolveContext::new();
+    for round in 1..=2 {
+        match ctx.solve(&p, &mixed_solver()) {
+            Err(SolveError::Diverged { residual, .. }) => assert!(!residual.is_finite()),
+            Err(other) => panic!("round {round}: unexpected error class {other:?}"),
+            Ok(sol) => assert!(
+                sol.temperatures.iter_kelvin().all(f64::is_finite),
+                "round {round}: Ok with non-finite temperatures"
+            ),
+        }
+        let stats = ctx.stats();
+        assert_eq!(stats.hierarchy_builds, 0, "the hierarchy never factors");
+        assert_eq!(stats.f64_fallbacks, round, "each solve runs Jacobi-CG");
     }
 }
 

@@ -40,8 +40,7 @@ fn golden_transient_dvfs_gemmini() {
     let ambient = Heatsink::two_phase().ambient;
     let mut run = TransientRun::new(&stack.problem, &caps, DT_SECONDS, ambient)
         .expect("transient staging")
-        .with_multigrid()
-        .expect("multigrid staging");
+        .with_multigrid();
 
     let mut trajectory = Vec::new();
     for (utilization, steps) in SCHEDULE {
