@@ -127,7 +127,7 @@ pub struct FileModel {
 /// Parallel-region methods whose closure argument is a hot region.
 const HOT_REGION_METHODS: &[&str] = &[
     "map_mut",
-    "map2_mut",
+    "map_mut_slabs",
     "map3_mut",
     "for_each_shared",
     "spawn",

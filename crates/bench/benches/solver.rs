@@ -1,7 +1,8 @@
 //! Benches of the finite-volume thermal solvers — f64 Jacobi-CG (the
 //! oracle), the mixed-precision multigrid path (production) and SOR
 //! (the cross-check) — including the serial-vs-parallel comparison on
-//! the paper's Gemmini 12-tier stack.
+//! the paper's Gemmini 12-tier stack, and cold and warm production
+//! solves on the service's default mesh (the `sweep` operator).
 //!
 //! Run with `cargo bench -p tsc-bench --bench solver`; set
 //! `BENCH_FAST=1` for a smoke pass on a smaller mesh. Results are
@@ -9,11 +10,13 @@
 
 use tsc_bench::json::Json;
 use tsc_bench::timing::Bench;
+use tsc_bench::timing::Measurement;
 use tsc_core::beol::BeolProperties;
-use tsc_core::stack::{build, StackConfig};
+use tsc_core::pillars;
+use tsc_core::stack::{build, hot_loop_solver, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, Solution, SorSolver};
-use tsc_units::{Length, Power, ThermalConductivity};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, Solution, SolveContext, SorSolver};
+use tsc_units::{Length, Power, Ratio, ThermalConductivity};
 
 fn slab(n: usize, nz: usize) -> Problem {
     let mut p = Problem::uniform_block(
@@ -154,6 +157,92 @@ fn bench_parallel_gemmini(b: &Bench) {
     );
 }
 
+/// The operator the `sweep` workload re-solves: Gemmini stacked 8 tiers
+/// high at the service's default 12×12 lateral cells, scaffolded BEOL
+/// with a 10 % pillar budget on a two-phase heatsink (`1 + 8·4 = 33`
+/// z-slabs, 4,752 cells), at `utilization_percent` on every tier.
+fn service_mesh(utilization_percent: f64) -> Problem {
+    let (tiers, lateral) = (8, 12);
+    let design = gemmini::design();
+    let cfg = StackConfig::uniform(tiers, BeolProperties::scaffolded(), Heatsink::two_phase())
+        .with_lateral_cells(lateral)
+        .with_utilizations(vec![Ratio::from_percent(utilization_percent); tiers])
+        .with_pillar_map(pillars::uniform_routable_map(
+            &design,
+            Ratio::from_percent(10.0),
+            lateral,
+        ));
+    build(&design, &cfg).problem
+}
+
+fn timing_ms(m: &Measurement) -> Json {
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    Json::object()
+        .field("median_ms", ms(m.median))
+        .field("q1_ms", ms(m.q1))
+        .field("q3_ms", ms(m.q3))
+        .field("samples", m.samples)
+}
+
+/// Cold and warm production solves on the `sweep` operator. Cold is the
+/// first solve of a fresh [`SolveContext`] (assembly, shadow hierarchy
+/// build, solve from the initial guess); warm re-solves the cached
+/// operator from the previous field after a utilization change, the
+/// solve `sweep` requests pay. Asserts the warm solve's work counts, so
+/// a kernel change that alters the iteration shows here.
+fn bench_service_mesh(b: &Bench) -> Json {
+    let solver = hot_loop_solver();
+    let (p70, p55) = (service_mesh(70.0), service_mesh(55.0));
+    let cells = p70.dim().len();
+    let cold = b.run("cold_solve", 200, || {
+        SolveContext::new().solve(&p70, &solver).expect("cold")
+    });
+    let mut ctx = SolveContext::new();
+    ctx.solve(&p70, &solver).expect("cold");
+    let warm_counts = |sol: &Solution| {
+        let s = &sol.stats;
+        (s.iterations, s.refinements, s.cycles, s.matvecs)
+    };
+    let first = ctx.solve(&p55, &solver).expect("warm");
+    assert_eq!(
+        warm_counts(&first),
+        (4, 2, 4, 7),
+        "warm solve (inner iterations, refinements, cycles, matvecs) changed"
+    );
+    let mut flip = false;
+    let warm = b.run("warm_solve", 1000, || {
+        flip = !flip;
+        let sol = ctx
+            .solve(if flip { &p70 } else { &p55 }, &solver)
+            .expect("warm");
+        assert_eq!(
+            warm_counts(&sol),
+            (4, 2, 4, 7),
+            "warm solve work counts changed"
+        );
+        sol
+    });
+    let (iterations, refinements, cycles, matvecs) = warm_counts(&first);
+    Json::object()
+        .field("mesh", "gemmini_8_tier/12x12x33")
+        .field("cells", cells)
+        .field(
+            "operator",
+            "sweep: gemmini, 8 tiers, 12x12 lateral cells, scaffolding, 10 % pillar budget, two-phase",
+        )
+        .field("command", "cargo bench -p tsc-bench --bench solver")
+        .field("cold_solve", timing_ms(&cold))
+        .field(
+            "warm_solve",
+            timing_ms(&warm)
+                .field("utilization_percent", "70 <-> 55, alternating")
+                .field("inner_iterations", iterations)
+                .field("refinements", refinements)
+                .field("cycles", cycles)
+                .field("matvecs", matvecs),
+        )
+}
+
 fn max_dev_kelvin(a: &Solution, b: &Solution) -> f64 {
     a.temperatures
         .iter_kelvin()
@@ -183,7 +272,7 @@ fn record(mesh: &str, cells: usize, solver: &str, tol: f64, sol: &Solution, seco
 /// mixed path's targets — ≥ 3× wall clock and ≥ 3× fewer iterations
 /// than Jacobi-CG, within 1e-6 K of it — and emits `BENCH_SOLVER.json`
 /// at the repo root with one machine-readable entry per solve.
-fn bench_mixed_gemmini(b: &Bench) {
+fn bench_mixed_gemmini(b: &Bench, service_mesh: Json) {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let fast = std::env::var_os("BENCH_FAST").is_some();
     let lateral = if fast { 32 } else { 64 };
@@ -290,7 +379,8 @@ fn bench_mixed_gemmini(b: &Bench) {
                 .field("wall_clock_speedup", speedup)
                 .field("iteration_reduction", reduction)
                 .field("max_abs_dt_kelvin", dev_mixed),
-        );
+        )
+        .field("service_mesh", service_mesh);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SOLVER.json");
     std::fs::write(path, doc.pretty()).expect("write BENCH_SOLVER.json");
     println!("  wrote {path}");
@@ -305,6 +395,8 @@ fn main() {
     bench_high_contrast(&b);
     let b = Bench::group("parallel_gemmini");
     bench_parallel_gemmini(&b);
+    let b = Bench::group("service_mesh");
+    let service = bench_service_mesh(&b);
     let b = Bench::group("mixed_gemmini");
-    bench_mixed_gemmini(&b);
+    bench_mixed_gemmini(&b, service);
 }

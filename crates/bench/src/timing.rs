@@ -28,6 +28,9 @@ pub struct Measurement {
     pub median: Duration,
     /// Minimum observed time per iteration.
     pub min: Duration,
+    /// Lower and upper quartile of the per-iteration times.
+    pub q1: Duration,
+    pub q3: Duration,
     /// Samples measured.
     pub samples: usize,
 }
@@ -79,6 +82,8 @@ impl Bench {
         let m = Measurement {
             median: times[times.len() / 2],
             min: times[0],
+            q1: times[times.len() / 4],
+            q3: times[times.len() * 3 / 4],
             samples,
         };
         println!(
@@ -107,7 +112,7 @@ mod tests {
             acc
         });
         assert!(m.median > Duration::ZERO);
-        assert!(m.min <= m.median);
+        assert!(m.min <= m.q1 && m.q1 <= m.median && m.median <= m.q3);
         assert_eq!(m.samples, 3);
     }
 }

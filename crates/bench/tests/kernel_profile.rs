@@ -1,15 +1,25 @@
 //! Quick wall-clock comparison of the solver configurations — f64
 //! Jacobi-CG and the mixed-precision multigrid path — on the Gemmini
-//! 64×64×49 mesh: a faster inner loop than the full solver bench when
-//! iterating on kernels. Ignored by default:
+//! 64×64×49 mesh, and the cold and warm production solve on the
+//! service's default mesh: a faster inner loop than the full solver
+//! bench when iterating on kernels. Ignored by default:
 //!
 //! `cargo test --release -p tsc-bench --test kernel_profile -- --ignored --nocapture`
+//!
+//! The per-kernel split of the mixed path (both matvecs, z-line solve,
+//! restrict, prolong, coarse solve, V-cycle) needs the crate-private
+//! kernels, so it lives in `tsc-thermal` as the ignored test
+//! `kernels::tests::kernel_profile`, on a mesh of the same extents:
+//!
+//! `cargo test --release -p tsc-thermal --lib kernel_profile -- --ignored --nocapture`
 
 use std::time::Instant;
 use tsc_core::beol::BeolProperties;
-use tsc_core::stack::{build, StackConfig};
+use tsc_core::pillars;
+use tsc_core::stack::{build, hot_loop_solver, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{CgSolver, Heatsink, Precision};
+use tsc_thermal::{CgSolver, Heatsink, Precision, SolveContext};
+use tsc_units::Ratio;
 
 #[test]
 #[ignore]
@@ -38,4 +48,61 @@ fn profile_solvers() {
             sol.stats.residual,
         );
     }
+}
+
+/// Cold and warm production solves on the `sweep` operator (Gemmini, 8
+/// tiers of 12×12 cells, scaffolding, 10 % pillar budget, two-phase):
+/// median and quartiles of each, with the work counts of a warm solve.
+#[test]
+#[ignore]
+fn profile_service_mesh() {
+    let design = gemmini::design();
+    let problem = |utilization: f64| {
+        let cfg = StackConfig::uniform(8, BeolProperties::scaffolded(), Heatsink::two_phase())
+            .with_lateral_cells(12)
+            .with_utilizations(vec![Ratio::from_percent(utilization); 8])
+            .with_pillar_map(pillars::uniform_routable_map(
+                &design,
+                Ratio::from_percent(10.0),
+                12,
+            ));
+        build(&design, &cfg).problem
+    };
+    let (p70, p55) = (problem(70.0), problem(55.0));
+    let solver = hot_loop_solver();
+    let quartiles = |mut t: Vec<f64>| {
+        t.sort_by(f64::total_cmp);
+        let n = t.len();
+        (t[n / 4], t[n / 2], t[n * 3 / 4])
+    };
+    let cold: Vec<f64> = (0..200)
+        .map(|_| {
+            let t = Instant::now();
+            SolveContext::new().solve(&p70, &solver).expect("cold");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let mut ctx = SolveContext::new();
+    ctx.solve(&p70, &solver).expect("cold");
+    let mut last = None;
+    let warm: Vec<f64> = (0..1000)
+        .map(|i| {
+            let t = Instant::now();
+            let sol = ctx
+                .solve(if i % 2 == 0 { &p55 } else { &p70 }, &solver)
+                .expect("warm");
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            last = Some(sol.stats);
+            ms
+        })
+        .collect();
+    for (name, t) in [("cold solve", cold), ("warm solve", warm)] {
+        let (q1, median, q3) = quartiles(t);
+        println!("{name:10} median {median:.3} ms  quartiles {q1:.3}–{q3:.3} ms");
+    }
+    let s = last.expect("ran");
+    println!(
+        "warm solve: {} inner iterations, {} refinements, {} cycles, {} matvecs",
+        s.iterations, s.refinements, s.cycles, s.matvecs
+    );
 }

@@ -111,82 +111,35 @@ impl ExecPlan {
             let r = self.bands[0].clone();
             return vec![f(r.clone(), &mut out[r])];
         }
-        let chunks = split_mut(out, &self.bands);
-        #[cfg(feature = "race-check")]
-        if let Some(order) = &self.order {
-            let mut chunks = chunks;
-            let results = run_permuted(order, &self.bands, |bi, range| f(range, &mut *chunks[bi]));
-            race::enforce(race::check_intervals("map_mut (permuted)", &self.bands));
-            return results;
-        }
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .bands
-                .iter()
-                .cloned()
-                .zip(chunks)
-                .map(|(range, chunk)| {
-                    let f = &f;
-                    s.spawn(move || f(range, chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // tsc-analyze: allow(no-unwrap): a worker panic must
-                // propagate to the caller, not be swallowed into a
-                // half-written field.
-                .map(|h| h.join().expect("solver worker panicked"))
-                .collect()
-        });
-        #[cfg(feature = "race-check")]
-        race::enforce(race::check_intervals("map_mut", &self.bands));
-        results
+        self.run("map_mut", split_mut(out, &self.bands), f)
     }
 
-    /// Like [`ExecPlan::map_mut`] but with two banded mutable arrays —
-    /// the fused MG-preconditioned CG update (`x`, `r`) region, which
-    /// has no Jacobi `z` array to scale in place.
-    pub(crate) fn map2_mut<T, R, F>(&self, a: &mut [T], b: &mut [T], f: F) -> Vec<R>
+    /// Like [`ExecPlan::map_mut`], also handing each band its own window
+    /// of `parts`, which holds one slot per slab (`parts[k]` belongs to
+    /// slab `k`) — per-slab reduction partials written in place into
+    /// caller-owned scratch rather than returned in fresh vectors.
+    pub(crate) fn map_mut_slabs<T, F>(&self, out: &mut [T], parts: &mut [f64], f: F)
     where
         T: Copy + Send + Sync,
-        R: Send,
-        F: Fn(Range<usize>, &mut [T], &mut [T]) -> R + Sync,
+        F: Fn(Range<usize>, &mut [T], &mut [f64]) + Sync,
     {
+        let slab = out.len() / parts.len().max(1);
         if self.bands.len() == 1 {
             let r = self.bands[0].clone();
-            return vec![f(r.clone(), &mut a[r.clone()], &mut b[r])];
+            f(r.clone(), &mut out[r], parts);
+            return;
         }
-        let (ca, cb) = (split_mut(a, &self.bands), split_mut(b, &self.bands));
-        #[cfg(feature = "race-check")]
-        if let Some(order) = &self.order {
-            let (mut ca, mut cb) = (ca, cb);
-            let results = run_permuted(order, &self.bands, |bi, range| {
-                f(range, &mut *ca[bi], &mut *cb[bi])
-            });
-            race::enforce(race::check_intervals("map2_mut (permuted)", &self.bands));
-            return results;
-        }
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .bands
-                .iter()
-                .cloned()
-                .zip(ca.into_iter().zip(cb))
-                .map(|(range, (sa, sb))| {
-                    let f = &f;
-                    s.spawn(move || f(range, sa, sb))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // tsc-analyze: allow(no-unwrap): a worker panic must
-                // propagate to the caller, not be swallowed.
-                .map(|h| h.join().expect("solver worker panicked"))
-                .collect()
+        let slab_bands: Vec<Range<usize>> = self
+            .bands
+            .iter()
+            .map(|r| r.start / slab..r.end / slab)
+            .collect();
+        let items = split_mut(out, &self.bands)
+            .into_iter()
+            .zip(split_mut(parts, &slab_bands));
+        self.run("map_mut_slabs", items.collect(), |range, (chunk, p)| {
+            f(range, chunk, p)
         });
-        #[cfg(feature = "race-check")]
-        race::enforce(race::check_intervals("map2_mut", &self.bands));
-        results
     }
 
     /// Like [`ExecPlan::map_mut`] but with three banded mutable arrays —
@@ -206,18 +159,44 @@ impl ExecPlan {
                 &mut c[r],
             )];
         }
-        let (ca, cb, cc) = (
-            split_mut(a, &self.bands),
-            split_mut(b, &self.bands),
-            split_mut(c, &self.bands),
-        );
+        let items = split_mut(a, &self.bands)
+            .into_iter()
+            .zip(split_mut(b, &self.bands))
+            .zip(split_mut(c, &self.bands));
+        self.run("map3_mut", items.collect(), |range, ((sa, sb), sc)| {
+            f(range, sa, sb, sc)
+        })
+    }
+
+    /// Runs `f` on each band's item — one scoped thread per band, or,
+    /// under a schedule-perturbation seed, sequentially in the permuted
+    /// order — and returns the results in band order. `items` holds one
+    /// entry per band (the band's disjoint sub-slices); under
+    /// `race-check` the bands' disjointness is audited as `region`.
+    fn run<I, R, F>(
+        &self,
+        #[cfg_attr(not(feature = "race-check"), allow(unused_variables))] region: &str,
+        items: Vec<I>,
+        f: F,
+    ) -> Vec<R>
+    where
+        I: Send,
+        R: Send,
+        F: Fn(Range<usize>, I) -> R + Sync,
+    {
+        debug_assert_eq!(items.len(), self.bands.len());
         #[cfg(feature = "race-check")]
         if let Some(order) = &self.order {
-            let (mut ca, mut cb, mut cc) = (ca, cb, cc);
+            let mut slots: Vec<Option<I>> = items.into_iter().map(Some).collect();
             let results = run_permuted(order, &self.bands, |bi, range| {
-                f(range, &mut *ca[bi], &mut *cb[bi], &mut *cc[bi])
+                // tsc-analyze: allow(no-unwrap): `order` is a permutation,
+                // so every band's item is taken exactly once.
+                f(range, slots[bi].take().expect("each band runs once"))
             });
-            race::enforce(race::check_intervals("map3_mut (permuted)", &self.bands));
+            race::enforce(race::check_intervals(
+                &format!("{region} (permuted)"),
+                &self.bands,
+            ));
             return results;
         }
         let results = std::thread::scope(|s| {
@@ -225,22 +204,22 @@ impl ExecPlan {
                 .bands
                 .iter()
                 .cloned()
-                .zip(ca)
-                .zip(cb.into_iter().zip(cc))
-                .map(|((range, sa), (sb, sc))| {
+                .zip(items)
+                .map(|(range, item)| {
                     let f = &f;
-                    s.spawn(move || f(range, sa, sb, sc))
+                    s.spawn(move || f(range, item))
                 })
                 .collect();
             handles
                 .into_iter()
                 // tsc-analyze: allow(no-unwrap): a worker panic must
-                // propagate to the caller, not be swallowed.
+                // propagate to the caller, not be swallowed into a
+                // half-written field.
                 .map(|h| h.join().expect("solver worker panicked"))
                 .collect()
         });
         #[cfg(feature = "race-check")]
-        race::enforce(race::check_intervals("map3_mut", &self.bands));
+        race::enforce(race::check_intervals(region, &self.bands));
         results
     }
 

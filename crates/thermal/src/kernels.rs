@@ -3,8 +3,13 @@
 //! and [`Assembled::solve_system`], the one entry that picks between it
 //! and f64 Jacobi-CG.
 //!
-//! The stencil solvers are memory-bandwidth-bound, so halving the bytes
-//! per cell roughly halves the wall clock — but a raw f32 solve cannot
+//! The speed of this path comes from the multigrid preconditioner — a
+//! handful of iterations where Jacobi-CG needs hundreds — more than
+//! from the narrower type. f32 halves the bytes per cell, which pays on
+//! meshes whose vectors spill the cache. On the service meshes (a few
+//! thousand cells, resident in L2) a kernel's cost is the instructions
+//! it executes, and the f32 matvec is only ~1.4× faster than the f64
+//! one (`kernels::tests::kernel_profile`). A raw f32 solve cannot
 //! reach the 1e-11 relative tolerance the golden flows pin. The classic
 //! fix is iterative refinement: the **outer** loop computes the true
 //! residual `r = b − A·x` in f64, normalises it to unit norm (so the
@@ -25,12 +30,15 @@
 //! operator alone. Should its coarsest Cholesky fail (poisoned
 //! conductances), solves on that operator run Jacobi-CG outright.
 //!
-//! The f32 operator is stored structure-of-arrays ([`OpF32`]) and its
-//! matvec is written as branch-free per-row passes the autovectorizer
-//! handles well, cache-blocked into j-stripes sized so three slabs of a
-//! stripe's working set fit in L2 (the stripe is swept through all z
-//! before moving on, so each slab's rows are reused from cache as the
-//! `k−1`/`k`/`k+1` neighbour of three consecutive sweeps).
+//! The f32 operator is stored structure-of-arrays ([`OpF32`]) and both
+//! precisions apply it through one kernel,
+//! [`crate::solver::stencil_matvec`]: per z-slab, one pass per stencil
+//! term, each a straight zip the autovectorizer packs (`gy` and `gz` as
+//! one zip over the whole slab, only `gx` row by row). A V-cycle starts
+//! from a zero guess, so its pre-smooth skips the `A·0` matvec, and the
+//! transfers index aggregates by shifts rather than divisions. Every
+//! one of these keeps each element's arithmetic in the order of the
+//! scalar loop it replaces, so the solves are bitwise what they were.
 //!
 //! Determinism: the inner f32 kernels use the same per-slab ordered
 //! reductions and band-disjoint writes as the f64 path, and the z-line
@@ -41,7 +49,8 @@
 use crate::engine::ExecPlan;
 use crate::multigrid::{galerkin_chain, prolong_add, restrict, DenseCholesky, Factors};
 use crate::solver::{
-    norm, ordered_sum, slab_dot_wide_parts, Assembled, CgParams, Precision, SolveError, SolverStats,
+    norm, ordered_sum, slab_dot_wide_into, stencil_matvec, Assembled, CgParams, Faces, Precision,
+    SolveError, SolverStats,
 };
 use std::time::Instant;
 use tsc_geometry::Dim3;
@@ -62,24 +71,15 @@ const MAX_REFINE: usize = 60;
 /// one f64 solve would need.
 const INNER_TOL: f64 = 1e-2;
 
-/// Iteration budget of one inner f32 MG-PCG solve. MG-PCG reaches 1e-5
-/// in well under 20 iterations on every mesh in the test fleet; the cap
-/// converts an inner stall into a prompt Jacobi-CG finish.
+/// Iteration budget of one inner f32 MG-PCG solve. MG-PCG reaches
+/// [`INNER_TOL`] in well under 20 iterations on every mesh in the test
+/// fleet; the cap converts an inner stall into a prompt Jacobi-CG
+/// finish.
 const INNER_MAX_ITER: usize = 200;
 
 /// An outer pass must contract the f64 residual to at most this factor,
 /// or the mixed path is declared stalled and finishes on Jacobi-CG.
 const STALL_FACTOR: f64 = 0.25;
-
-/// L2 budget per j-stripe of the blocked matvec, in bytes. Set below
-/// typical per-core L2 (512 KiB – 1.25 MiB) to leave room for the
-/// neighbouring slabs' stripes that the z-sweep reuses.
-const L2_TARGET_BYTES: usize = 256 * 1024;
-
-/// f32 streams touched per cell of the blocked matvec (x and its six
-/// neighbour rows alias into three slab stripes: out, x×3, diag, gx,
-/// gy×2, gz×2 ≈ 9 rows of 4 bytes).
-const STREAM_BYTES_PER_CELL: usize = 9 * 4;
 
 /// Damping of the z-line Jacobi smoother. The line solve absorbs the
 /// dominant z coupling exactly, leaving a weakly coupled lateral
@@ -98,8 +98,6 @@ pub(crate) struct OpF32 {
     gy: Vec<f32>,
     gz: Vec<f32>,
     diag: Vec<f32>,
-    /// j-stripe height of the cache-blocked matvec.
-    tile_j: usize,
 }
 
 fn narrow(v: &[f64]) -> Vec<f32> {
@@ -108,85 +106,29 @@ fn narrow(v: &[f64]) -> Vec<f32> {
 
 impl OpF32 {
     pub(crate) fn from_assembled(op: &Assembled) -> Self {
-        let dim = op.dim;
-        let row_bytes = dim.nx * STREAM_BYTES_PER_CELL;
-        let tile_j = (L2_TARGET_BYTES / row_bytes.max(1))
-            .max(8)
-            .min(dim.ny.max(1));
         Self {
-            dim,
+            dim: op.dim,
             gx: narrow(&op.gx),
             gy: narrow(&op.gy),
             gz: narrow(&op.gz),
             diag: narrow(&op.diag),
-            tile_j,
+        }
+    }
+
+    fn faces(&self) -> Faces<'_, f32> {
+        Faces {
+            dim: self.dim,
+            diag: &self.diag,
+            gx: &self.gx,
+            gy: &self.gy,
+            gz: &self.gz,
         }
     }
 
     /// `out[c − range.start] = (A·x)[c]` for `c` in the slab-aligned
-    /// `range`, as stripe-blocked branch-free row passes: for each
-    /// j-stripe the sweep runs through all z before the next stripe, so
-    /// the three slab-stripes a row reads stay resident in L2, and each
-    /// pass is a straight-line zip over `nx` the autovectorizer turns
-    /// into packed f32 arithmetic. Each output element is accumulated in
-    /// a fixed pass order — deterministic regardless of banding.
+    /// `range` — [`stencil_matvec`] in f32.
     pub(crate) fn matvec_range(&self, x: &[f32], out: &mut [f32], range: std::ops::Range<usize>) {
-        let (nx, ny, nz) = (self.dim.nx, self.dim.ny, self.dim.nz);
-        let slab = nx * ny;
-        debug_assert_eq!(range.start % slab, 0, "bands must be slab-aligned");
-        debug_assert_eq!(range.end % slab, 0, "bands must be slab-aligned");
-        let (k_lo, k_hi) = (range.start / slab, range.end / slab);
-        for jt in (0..ny).step_by(self.tile_j) {
-            let j_end = (jt + self.tile_j).min(ny);
-            for k in k_lo..k_hi {
-                for j in jt..j_end {
-                    let row = (k * ny + j) * nx;
-                    let or = &mut out[row - range.start..row - range.start + nx];
-                    let xr = &x[row..row + nx];
-                    let dr = &self.diag[row..row + nx];
-                    for ((o, d), xv) in or.iter_mut().zip(dr).zip(xr) {
-                        *o = d * xv;
-                    }
-                    if nx > 1 {
-                        let gxr = &self.gx[(k * ny + j) * (nx - 1)..][..nx - 1];
-                        for ((o, g), xn) in or[..nx - 1].iter_mut().zip(gxr).zip(&xr[1..]) {
-                            *o -= g * xn;
-                        }
-                        for ((o, g), xp) in or[1..].iter_mut().zip(gxr).zip(xr) {
-                            *o -= g * xp;
-                        }
-                    }
-                    if j + 1 < ny {
-                        let gyr = &self.gy[(k * (ny - 1) + j) * nx..][..nx];
-                        let xn = &x[row + nx..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gyr).zip(xn) {
-                            *o -= g * xv;
-                        }
-                    }
-                    if j > 0 {
-                        let gyr = &self.gy[(k * (ny - 1) + j - 1) * nx..][..nx];
-                        let xp = &x[row - nx..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gyr).zip(xp) {
-                            *o -= g * xv;
-                        }
-                    }
-                    if k + 1 < nz {
-                        let gzr = &self.gz[(k * ny + j) * nx..][..nx];
-                        let xn = &x[row + slab..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gzr).zip(xn) {
-                            *o -= g * xv;
-                        }
-                    }
-                    if k > 0 {
-                        let gzr = &self.gz[((k - 1) * ny + j) * nx..][..nx];
-                        let xp = &x[row - slab..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gzr).zip(xp) {
-                            *o -= g * xv;
-                        }
-                    }
-                }
-            }
-        }
+        stencil_matvec(&self.faces(), None, x, out, range);
     }
 }
 
@@ -280,11 +222,32 @@ struct LevelBufs32 {
     d: Vec<f32>,
 }
 
-/// Reusable scratch for the inner f32 MG-PCG: per-level V-cycle
-/// buffers, the f64 staging pair for the (f64) coarsest direct solve,
-/// and the finest-level CG vectors.
+/// Reusable scratch of one mixed solve, sized once per hierarchy: the
+/// outer refinement loop's vectors and execution plan, and the inner
+/// solve's [`InnerF32`].
 #[derive(Debug, Clone)]
 pub(crate) struct WorkspaceF32 {
+    /// Outer residual `rhs − A·x` (f64).
+    r: Vec<f64>,
+    /// `A·x` of the outer residual check (f64).
+    ax: Vec<f64>,
+    /// Inner right-hand side `r/‖r‖`, narrowed.
+    r32: Vec<f32>,
+    /// Inner correction `d ≈ A⁻¹·r32`.
+    d32: Vec<f32>,
+    /// Per-slab partials of the finest level's reductions.
+    parts: Vec<f64>,
+    /// The outer loop's plan over the finest level, with the
+    /// `(threads, crossover)` it was built for.
+    plan: Option<((usize, usize), ExecPlan)>,
+    inner: InnerF32,
+}
+
+/// Scratch of the inner f32 MG-PCG: the finest-level CG vectors, the
+/// finest level's V-cycle buffers, per-level buffers below it and the
+/// f64 staging pair for the (f64) coarsest direct solve.
+#[derive(Debug, Clone)]
+struct InnerF32 {
     r0: Vec<f32>,
     d0: Vec<f32>,
     tail: Vec<LevelBufs32>,
@@ -391,44 +354,76 @@ impl HierarchyF32 {
         let n0 = self.dims[0].len();
         let nc = self.dims[self.dims.len() - 1].len();
         WorkspaceF32 {
-            r0: vec![0.0; n0],
-            d0: vec![0.0; n0],
-            tail: self.dims[1..]
-                .iter()
-                .map(|d| LevelBufs32 {
-                    x: vec![0.0; d.len()],
-                    b: vec![0.0; d.len()],
-                    r: vec![0.0; d.len()],
-                    d: vec![0.0; d.len()],
-                })
-                .collect(),
-            coarse_b: vec![0.0; nc],
-            coarse_x: vec![0.0; nc],
-            cg_r: vec![0.0; n0],
-            cg_z: vec![0.0; n0],
-            cg_p: vec![0.0; n0],
-            cg_ap: vec![0.0; n0],
+            r: vec![0.0; n0],
+            ax: vec![0.0; n0],
+            r32: vec![0.0; n0],
+            d32: vec![0.0; n0],
+            parts: vec![0.0; self.dims[0].nz],
+            plan: None,
+            inner: InnerF32 {
+                r0: vec![0.0; n0],
+                d0: vec![0.0; n0],
+                tail: self.dims[1..]
+                    .iter()
+                    .map(|d| LevelBufs32 {
+                        x: vec![0.0; d.len()],
+                        b: vec![0.0; d.len()],
+                        r: vec![0.0; d.len()],
+                        d: vec![0.0; d.len()],
+                    })
+                    .collect(),
+                coarse_b: vec![0.0; nc],
+                coarse_x: vec![0.0; nc],
+                cg_r: vec![0.0; n0],
+                cg_z: vec![0.0; n0],
+                cg_p: vec![0.0; n0],
+                cg_ap: vec![0.0; n0],
+            },
         }
     }
 
     /// One damped z-line Jacobi pass at `level`: `x += ω·T⁻¹·(b − A·x)`.
     fn smooth(&self, level: usize, b: &[f32], x: &mut [f32], r: &mut [f32], d: &mut [f32]) {
-        let op = &self.ops[level];
-        let plan = &self.plans[level];
-        plan.map_mut(r, |range, chunk| {
-            op.matvec_range(x, chunk, range.clone());
-            for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                *o = bv - *o;
-            }
-        });
-        self.line[level].solve(self.dims[level], &op.gz, r, d);
-        plan.map_mut(x, |range, chunk| {
+        self.residual(level, b, x, r);
+        self.line[level].solve(self.dims[level], &self.ops[level].gz, r, d);
+        self.plans[level].map_mut(x, |range, chunk| {
             for (o, dv) in chunk.iter_mut().zip(&d[range]) {
                 *o += LINE_OMEGA * dv;
             }
         });
     }
 
+    /// [`Self::smooth`] from `x = 0`, without the `A·0` matvec: the
+    /// residual of a zero guess is `b` itself, so the pass is
+    /// `x = 0 + ω·T⁻¹·b`. The `0 +` is kept on purpose — it is the add
+    /// the generic pass performs on the zeroed `x`, and it maps a `−0`
+    /// correction to `+0` exactly as that pass does — so for an
+    /// operator with finite, non-negative entries (where `A·0` is `+0`
+    /// and `b − 0` is `b`) the result is bitwise the generic pass's.
+    fn smooth_from_zero(&self, level: usize, b: &[f32], x: &mut [f32], d: &mut [f32]) {
+        self.line[level].solve(self.dims[level], &self.ops[level].gz, b, d);
+        self.plans[level].map_mut(x, |range, chunk| {
+            for (o, dv) in chunk.iter_mut().zip(&d[range]) {
+                *o = 0.0 + LINE_OMEGA * dv;
+            }
+        });
+    }
+
+    /// `r = b − A·x` at `level`.
+    fn residual(&self, level: usize, b: &[f32], x: &[f32], r: &mut [f32]) {
+        let op = &self.ops[level];
+        self.plans[level].map_mut(r, |range, chunk| {
+            op.matvec_range(x, chunk, range.clone());
+            for (o, bv) in chunk.iter_mut().zip(&b[range]) {
+                *o = bv - *o;
+            }
+        });
+    }
+
+    /// One V-cycle on `A·x = b` at `level` from a zero initial guess,
+    /// which it never reads: `x` is overwritten. Pre-smooth (from zero),
+    /// restrict the residual, recurse, prolong the correction,
+    /// post-smooth; the coarsest level solves directly.
     #[allow(clippy::too_many_arguments)] // recursion state, not an API
     fn cycle(
         &self,
@@ -451,15 +446,8 @@ impl HierarchyF32 {
             }
             return;
         }
-        let op = &self.ops[level];
-        let plan = &self.plans[level];
-        self.smooth(level, b, x, r, d);
-        plan.map_mut(r, |range, chunk| {
-            op.matvec_range(x, chunk, range.clone());
-            for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                *o = bv - *o;
-            }
-        });
+        self.smooth_from_zero(level, b, x, d);
+        self.residual(level, b, x, r);
         let (next, rest) = tail
             .split_first_mut()
             .expect("workspace depth matches hierarchy"); // tsc-analyze: allow(no-unwrap): one buffer per level
@@ -470,7 +458,6 @@ impl HierarchyF32 {
             r,
             &mut next.b,
         );
-        next.x.fill(0.0);
         let LevelBufs32 {
             x: cx,
             b: cb,
@@ -490,21 +477,22 @@ impl HierarchyF32 {
 
     /// Inner f32 MG-PCG on `A·x = b`, starting from `x = 0`, run to
     /// [`INNER_TOL`] relative. All dot products accumulate in f64 over
-    /// the per-slab ordered partials, so the iteration is bitwise
-    /// thread-count independent like the f64 path. Returns
-    /// `(iterations, matvecs, cycles, converged-and-finite)` — the
-    /// caller treats `false` as a signal to finish on Jacobi-CG, never
-    /// as an error.
-    pub(crate) fn solve_correction(
+    /// the per-slab ordered partials (`parts`, one slot per slab), so
+    /// the iteration is bitwise thread-count independent like the f64
+    /// path. Returns `(iterations, matvecs, cycles,
+    /// converged-and-finite)` — the caller treats `false` as a signal to
+    /// finish on Jacobi-CG, never as an error.
+    fn solve_correction(
         &self,
-        ws: &mut WorkspaceF32,
+        ws: &mut InnerF32,
         b: &[f32],
         x: &mut [f32],
+        parts: &mut [f64],
     ) -> (usize, usize, usize, bool) {
         let op = &self.ops[0];
         let plan = &self.plans[0];
         let slab = self.dims[0].nx * self.dims[0].ny;
-        let WorkspaceF32 {
+        let InnerF32 {
             r0,
             d0,
             tail,
@@ -529,7 +517,6 @@ impl HierarchyF32 {
         let mut matvecs = 0_usize;
         let mut cycles = 0_usize;
 
-        cg_z.fill(0.0);
         self.cycle(0, cg_r, cg_z, r0, d0, tail, coarse_b, coarse_x);
         cycles += 1;
         cg_p.copy_from_slice(cg_z);
@@ -540,33 +527,34 @@ impl HierarchyF32 {
             .sum::<f64>();
 
         while residual > INNER_TOL && residual.is_finite() && iterations < INNER_MAX_ITER {
-            let parts = plan.map_mut(cg_ap, |range, chunk| {
+            plan.map_mut_slabs(cg_ap, parts, |range, chunk, p| {
                 op.matvec_range(cg_p, chunk, range.clone());
-                slab_dot_wide_parts(&cg_p[range], chunk, slab)
+                slab_dot_wide_into(&cg_p[range], chunk, slab, p);
             });
             matvecs += 1;
-            let p_ap = ordered_sum(parts.into_iter().flatten());
+            let p_ap = ordered_sum(parts.iter().copied());
             if p_ap <= 0.0 || !p_ap.is_finite() {
                 return (iterations, matvecs, cycles, false);
             }
             let alpha = rz / p_ap;
             let alpha32 = alpha as f32;
-            let parts = plan.map2_mut(x, cg_r, |range, xs, rs| {
-                for (xv, p) in xs.iter_mut().zip(&cg_p[range.clone()]) {
-                    *xv += alpha32 * p;
-                }
+            plan.map_mut_slabs(cg_r, parts, |range, rs, p| {
                 for (rv, av) in rs.iter_mut().zip(&cg_ap[range]) {
                     *rv -= alpha32 * av;
                 }
-                slab_dot_wide_parts(rs, rs, slab)
+                slab_dot_wide_into(rs, rs, slab, p);
             });
-            let rr = ordered_sum(parts.into_iter().flatten());
+            plan.map_mut(x, |range, xs| {
+                for (xv, p) in xs.iter_mut().zip(&cg_p[range]) {
+                    *xv += alpha32 * p;
+                }
+            });
+            let rr = ordered_sum(parts.iter().copied());
             residual = rr.sqrt() / b_norm;
             iterations += 1;
             if residual <= INNER_TOL || !residual.is_finite() {
                 break;
             }
-            cg_z.fill(0.0);
             self.cycle(0, cg_r, cg_z, r0, d0, tail, coarse_b, coarse_x);
             cycles += 1;
             let rz_new = cg_r
@@ -699,25 +687,34 @@ impl Assembled {
         };
         #[cfg(not(feature = "fault-inject"))]
         let max_refine = MAX_REFINE;
-        let plan = ExecPlan::new(self.dim, params.threads, params.crossover);
+        let key = (params.threads, params.crossover);
+        if ws32.plan.as_ref().is_none_or(|(k, _)| *k != key) {
+            ws32.plan = Some((key, ExecPlan::new(self.dim, key.0, key.1)));
+        }
         let b_norm = norm(rhs).max(f64::MIN_POSITIVE);
 
-        let mut r = vec![0.0; n];
-        let mut ax = vec![0.0; n];
-        let mut r32 = vec![0.0f32; n];
-        let mut d32 = vec![0.0f32; n];
         let mut matvecs = 0_usize;
         let mut cycles = 0_usize;
         let mut inner_iterations = 0_usize;
         let mut refinements = 0_usize;
         let mut stalled = false;
 
-        let mut residual = self.residual_norm(&plan, x, rhs, b_norm, &mut ax, shift);
+        let WorkspaceF32 {
+            r,
+            ax,
+            r32,
+            d32,
+            parts,
+            plan,
+            inner,
+        } = ws32;
+        let plan = &plan.as_ref().expect("plan set above").1; // tsc-analyze: allow(no-unwrap): filled just above
+        let mut residual = self.residual_norm(plan, x, rhs, b_norm, ax, parts, shift);
         matvecs += 1;
         let mut trajectory = vec![(0, residual)];
 
         while residual > params.tol && residual.is_finite() && refinements < max_refine {
-            for ((rv, bv), av) in r.iter_mut().zip(rhs).zip(&ax) {
+            for ((rv, bv), av) in r.iter_mut().zip(rhs).zip(ax.iter()) {
                 *rv = bv - av;
             }
             // ‖r‖ from the already-reduced relative residual; the scaling
@@ -725,10 +722,10 @@ impl Assembled {
             // the f32 dynamic range whatever the outer residual magnitude.
             let r_norm = residual * b_norm;
             let scale = 1.0 / r_norm;
-            for (s, rv) in r32.iter_mut().zip(&r) {
+            for (s, rv) in r32.iter_mut().zip(r.iter()) {
                 *s = (rv * scale) as f32;
             }
-            let (it32, mv32, cy32, ok) = h32.solve_correction(ws32, &r32, &mut d32);
+            let (it32, mv32, cy32, ok) = h32.solve_correction(inner, r32, d32, parts);
             inner_iterations += it32;
             matvecs += mv32;
             cycles += cy32;
@@ -736,6 +733,7 @@ impl Assembled {
                 stalled = true;
                 break;
             }
+            let d32 = &*d32;
             plan.map_mut(x, |range, chunk| {
                 for (o, dv) in chunk.iter_mut().zip(&d32[range]) {
                     *o += r_norm * f64::from(*dv);
@@ -743,7 +741,7 @@ impl Assembled {
             });
             refinements += 1;
             let previous = residual;
-            residual = self.residual_norm(&plan, x, rhs, b_norm, &mut ax, shift);
+            residual = self.residual_norm(plan, x, rhs, b_norm, ax, parts, shift);
             matvecs += 1;
             #[cfg(feature = "fault-inject")]
             {
@@ -792,10 +790,10 @@ impl Assembled {
                 residual,
             });
         }
-        for ((rv, bv), av) in r.iter_mut().zip(rhs).zip(&ax) {
+        for ((rv, bv), av) in r.iter_mut().zip(rhs).zip(ax.iter()) {
             *rv = bv - av;
         }
-        let level_residuals = h32.level_norms(&r);
+        let level_residuals = h32.level_norms(r);
         Ok(SolverStats {
             iterations: inner_iterations,
             residual,
@@ -818,6 +816,8 @@ mod tests {
     use crate::heatsink::Heatsink;
     use crate::problem::Problem;
     use crate::CgSolver;
+    use std::ops::{AddAssign, Mul, SubAssign};
+    use tsc_rng::Rng64;
     use tsc_units::{HeatFlux, Length, ThermalConductivity};
 
     fn test_problem(nx: usize, ny: usize, nz: usize) -> Problem {
@@ -864,6 +864,143 @@ mod tests {
             "level residuals follow the shadow chain"
         );
         (x, stats)
+    }
+
+    /// The service's default mesh in shape: 8 tiers of 12×12 cells, four
+    /// slabs per tier over a handle slab (`1 + 8·4 = 33` slabs), each
+    /// tier a silicon device slab under three low-k BEOL slabs, on a
+    /// two-phase heatsink. Kernel cost depends on the extents, not on
+    /// the stack's exact conductances.
+    fn service_mesh() -> Problem {
+        let mut p = test_problem(12, 12, 33);
+        for k in 1..33 {
+            let (kz, kxy) = if k % 4 == 1 {
+                (148.0, 148.0)
+            } else {
+                (0.6, 5.0)
+            };
+            p.set_layer_conductivity(
+                k,
+                ThermalConductivity::new(kz),
+                ThermalConductivity::new(kxy),
+            );
+        }
+        p
+    }
+
+    /// (minimum, median) wall time of `f` in µs over 301 batches of
+    /// `reps` calls.
+    fn time_us(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
+        f();
+        let mut t: Vec<f64> = (0..301)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..reps {
+                    f();
+                }
+                t0.elapsed().as_secs_f64() * 1e6 / reps as f64
+            })
+            .collect();
+        t.sort_by(f64::total_cmp);
+        (t[0], t[t.len() / 2])
+    }
+
+    /// Per-kernel wall time of the mixed path on the service mesh: both
+    /// matvecs, the z-line solve, the transfers, the coarse direct
+    /// solve, one V-cycle and one warm mixed solve. Ignored by default
+    /// (it measures, it asserts nothing):
+    ///
+    /// `cargo test --release -p tsc-thermal --lib kernel_profile -- --ignored --nocapture`
+    #[test]
+    #[ignore]
+    fn kernel_profile() {
+        let p = service_mesh();
+        let asm = Assembled::build(&p).expect("assembly");
+        let h32 = HierarchyF32::build(&asm, None, 1, usize::MAX).expect("shadow");
+        let mut ws = h32.workspace();
+        let (d0, d1) = (h32.dims[0], h32.dims[1]);
+        let (n0, n1) = (d0.len(), d1.len());
+        let x64: Vec<f64> = (0..n0)
+            .map(|i| 1.0 + ((i * 37 % 101) as f64) / 101.0)
+            .collect();
+        let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
+        let (mut y64, mut y32, mut c32) = (vec![0.0; n0], vec![0.0f32; n0], vec![0.0f32; n1]);
+        let (mut r32, mut z32) = (vec![0.0f32; n0], vec![0.0f32; n0]);
+        let mut cx = vec![0.0; h32.dims[h32.dims.len() - 1].len()];
+        let cb = cx.clone();
+        println!("service mesh {d0:?}, levels {:?}", h32.dims);
+        let rows = [
+            (
+                "f64 matvec",
+                time_us(50, || asm.matvec_range(&x64, &mut y64, 0..n0, None)),
+            ),
+            (
+                "f32 matvec",
+                time_us(50, || h32.ops[0].matvec_range(&x32, &mut y32, 0..n0)),
+            ),
+            (
+                "z-line solve",
+                time_us(50, || h32.line[0].solve(d0, &h32.ops[0].gz, &x32, &mut y32)),
+            ),
+            (
+                "restrict",
+                time_us(50, || restrict(d0, d1, h32.factors[0], &x32, &mut c32)),
+            ),
+            (
+                "prolong",
+                time_us(50, || prolong_add(d0, d1, h32.factors[0], &c32, &mut y32)),
+            ),
+            ("coarse solve", time_us(50, || h32.chol.solve(&cb, &mut cx))),
+            (
+                "V-cycle",
+                time_us(20, || {
+                    let InnerF32 {
+                        r0,
+                        d0,
+                        tail,
+                        coarse_b,
+                        coarse_x,
+                        ..
+                    } = &mut ws.inner;
+                    h32.cycle(0, &x32, &mut z32, r0, d0, tail, coarse_b, coarse_x);
+                }),
+            ),
+        ];
+        for (name, (min, median)) in rows {
+            println!("{name:14} {median:9.2} µs median {min:9.2} µs min");
+        }
+        r32.copy_from_slice(&x32);
+        let params = CgParams {
+            tol: 1e-8,
+            max_iter: 50_000,
+            threads: 1,
+            crossover: usize::MAX,
+            traj_stride: 1,
+        };
+        let mut shadow = Shadow::default();
+        let mut x = vec![asm.initial_guess; n0];
+        asm.solve_system(None, &asm.rhs, &mut x, &params, Some(&mut shadow))
+            .expect("cold");
+        let rhs: Vec<f64> = asm
+            .rhs
+            .iter()
+            .zip(&asm.rhs_boundary)
+            .map(|(b, bb)| bb + 0.8 * (b - bb))
+            .collect();
+        let start = x.clone();
+        let mut stats = None;
+        let (_, warm) = time_us(5, || {
+            let mut xw = start.clone();
+            stats = Some(
+                asm.solve_system(None, &rhs, &mut xw, &params, Some(&mut shadow))
+                    .expect("warm"),
+            );
+        });
+        let st = stats.expect("ran");
+        println!(
+            "{:14} {warm:9.2} µs  ({} refinements, {} inner iterations, {} cycles, {} matvecs)",
+            "warm solve", st.refinements, st.iterations, st.cycles, st.matvecs
+        );
     }
 
     #[test]
@@ -965,23 +1102,232 @@ mod tests {
         }
     }
 
+    /// The scalar gather loop every matvec pass schedule must reproduce
+    /// bit for bit: per cell `diag`, `−gx⁺`, `−gx⁻`, `−gy⁺`, `−gy⁻`,
+    /// `−gz⁺`, `−gz⁻`, `+shift`, in that order.
+    fn gather_reference<T>(op: &Faces<'_, T>, shift: Option<&[T]>, x: &[T]) -> Vec<T>
+    where
+        T: Copy + Mul<Output = T> + SubAssign + AddAssign,
+    {
+        let (nx, ny, nz) = (op.dim.nx, op.dim.ny, op.dim.nz);
+        let slab = nx * ny;
+        let mut out = Vec::with_capacity(op.dim.len());
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let c = (k * ny + j) * nx + i;
+                    let mut o = op.diag[c] * x[c];
+                    if i + 1 < nx {
+                        o -= op.gx[(k * ny + j) * (nx - 1) + i] * x[c + 1];
+                    }
+                    if i > 0 {
+                        o -= op.gx[(k * ny + j) * (nx - 1) + i - 1] * x[c - 1];
+                    }
+                    if j + 1 < ny {
+                        o -= op.gy[(k * (ny - 1) + j) * nx + i] * x[c + nx];
+                    }
+                    if j > 0 {
+                        o -= op.gy[(k * (ny - 1) + j - 1) * nx + i] * x[c - nx];
+                    }
+                    if k + 1 < nz {
+                        o -= op.gz[c] * x[c + slab];
+                    }
+                    if k > 0 {
+                        o -= op.gz[c - slab] * x[c - slab];
+                    }
+                    if let Some(s) = shift {
+                        o += s[c] * x[c];
+                    }
+                    out.push(o);
+                }
+            }
+        }
+        out
+    }
+
+    /// A random operator on `dim` with conductances spread over six
+    /// decades, so a changed summation order shows in the low bits.
+    fn random_operator(dim: Dim3, rng: &mut Rng64) -> Assembled {
+        let (nx, ny, nz) = (dim.nx, dim.ny, dim.nz);
+        let mut g = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| 10f64.powf(rng.gen_range_f64(-3.0..3.0)))
+                .collect()
+        };
+        let (gx, gy, gz) = (
+            g((nx - 1) * ny * nz),
+            g(nx * (ny - 1) * nz),
+            g(nx * ny * (nz - 1)),
+        );
+        let (gb, gt) = (g(nx * ny), g(nx * ny));
+        Assembled::from_parts(dim, gx, gy, gz, gb, gt)
+    }
+
+    /// Slab-aligned band splits of `nz` slabs: whole, one band per
+    /// slab, and an uneven two-way split.
+    fn bandings(dim: Dim3) -> Vec<Vec<std::ops::Range<usize>>> {
+        let slab = dim.nx * dim.ny;
+        let n = dim.len();
+        let mut out = vec![
+            vec![0..n],
+            (0..dim.nz).map(|k| k * slab..(k + 1) * slab).collect(),
+        ];
+        if dim.nz > 2 {
+            let mid = (dim.nz / 3 + 1) * slab;
+            out.push(vec![0..mid, mid..n]);
+        }
+        out
+    }
+
     #[test]
-    fn blocked_matvec_is_banding_invariant() {
-        // The stripe-blocked f32 matvec must produce identical bits for
-        // any slab-aligned banding of the same field.
-        let p = test_problem(6, 9, 8);
-        let asm = Assembled::build(&p).expect("assembly");
-        let op = OpF32::from_assembled(&asm);
-        let n = asm.dim.len();
-        let slab = asm.dim.nx * asm.dim.ny;
-        let x: Vec<f32> = (0..n).map(|i| ((i * 13 % 29) as f32) / 29.0).collect();
-        let mut whole = vec![0.0f32; n];
-        op.matvec_range(&x, &mut whole, 0..n);
-        let mut banded = vec![0.0f32; n];
-        let mid = (asm.dim.nz / 2) * slab;
-        op.matvec_range(&x, &mut banded[..mid], 0..mid);
-        op.matvec_range(&x, &mut banded[mid..], mid..n);
-        assert_eq!(whole, banded);
+    fn matvecs_equal_the_scalar_gather_bitwise() {
+        let mut rng = Rng64::seed_from_u64(0x5eed);
+        let dims = [
+            Dim3::new(7, 5, 6),
+            Dim3::new(12, 12, 33),
+            Dim3::new(3, 9, 4),
+            Dim3::new(1, 5, 4),
+            Dim3::new(6, 1, 3),
+            Dim3::new(5, 4, 1),
+            Dim3::new(1, 1, 7),
+            Dim3::new(1, 1, 1),
+        ];
+        for dim in dims {
+            let asm = random_operator(dim, &mut rng);
+            let op32 = OpF32::from_assembled(&asm);
+            let n = dim.len();
+            let x64: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-2.0..2.0)).collect();
+            let s64: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(0.0..50.0)).collect();
+            let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
+            let s32: Vec<f32> = s64.iter().map(|&v| v as f32).collect();
+            let faces64 = Faces {
+                dim,
+                diag: &asm.diag,
+                gx: &asm.gx,
+                gy: &asm.gy,
+                gz: &asm.gz,
+            };
+            for shifted in [false, true] {
+                let (sh64, sh32) = if shifted {
+                    (Some(&s64[..]), Some(&s32[..]))
+                } else {
+                    (None, None)
+                };
+                let want64 = gather_reference(&faces64, sh64, &x64);
+                let want32 = gather_reference(&op32.faces(), sh32, &x32);
+                for bands in bandings(dim) {
+                    let mut y64 = vec![f64::NAN; n];
+                    let mut y32 = vec![f32::NAN; n];
+                    for band in &bands {
+                        asm.matvec_range(&x64, &mut y64[band.clone()], band.clone(), sh64);
+                        if shifted {
+                            stencil_matvec(
+                                &op32.faces(),
+                                sh32,
+                                &x32,
+                                &mut y32[band.clone()],
+                                band.clone(),
+                            );
+                        } else {
+                            op32.matvec_range(&x32, &mut y32[band.clone()], band.clone());
+                        }
+                    }
+                    let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits64(&y64),
+                        bits64(&want64),
+                        "f64 {dim:?} shift {shifted} bands {bands:?}"
+                    );
+                    assert_eq!(
+                        bits32(&y32),
+                        bits32(&want32),
+                        "f32 {dim:?} shift {shifted} bands {bands:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The V-cycle as it ran before the zero-guess pre-smooth: zero the
+    /// level's `x`, then the generic smooth (with its `A·0` matvec).
+    #[allow(clippy::too_many_arguments)] // mirrors `HierarchyF32::cycle`
+    fn cycle_reference(
+        h: &HierarchyF32,
+        level: usize,
+        b: &[f32],
+        x: &mut [f32],
+        r: &mut [f32],
+        d: &mut [f32],
+        tail: &mut [LevelBufs32],
+        cb64: &mut [f64],
+        cx64: &mut [f64],
+    ) {
+        if level + 1 == h.dims.len() {
+            h.cycle(level, b, x, r, d, tail, cb64, cx64);
+            return;
+        }
+        x.fill(0.0);
+        h.smooth(level, b, x, r, d);
+        h.residual(level, b, x, r);
+        let (next, rest) = tail.split_first_mut().expect("one buffer per level");
+        restrict(
+            h.dims[level],
+            h.dims[level + 1],
+            h.factors[level],
+            r,
+            &mut next.b,
+        );
+        let LevelBufs32 {
+            x: cx,
+            b: cb,
+            r: cr,
+            d: cd,
+        } = next;
+        cycle_reference(h, level + 1, cb, cx, cr, cd, rest, cb64, cx64);
+        prolong_add(h.dims[level], h.dims[level + 1], h.factors[level], cx, x);
+        h.smooth(level, b, x, r, d);
+    }
+
+    #[test]
+    fn zero_guess_cycle_equals_the_generic_smooth_from_zero() {
+        let mut rng = Rng64::seed_from_u64(0xc1c1e);
+        for (nx, ny, nz, shifted) in [(20, 20, 13, false), (12, 12, 33, false), (17, 11, 25, true)]
+        {
+            let p = test_problem(nx, ny, nz);
+            let asm = Assembled::build(&p).expect("assembly");
+            let n = asm.dim.len();
+            let shift: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(1.0..100.0)).collect();
+            let h = HierarchyF32::build(&asm, shifted.then_some(&shift[..]), 1, usize::MAX)
+                .expect("shadow");
+            assert!(h.dims.len() >= 3, "want a real recursion: {:?}", h.dims);
+            let b: Vec<f32> = (0..n)
+                .map(|_| rng.gen_range_f64(-1.0..1.0) as f32)
+                .collect();
+            let run = |reference: bool| {
+                let mut ws = h.workspace();
+                // Garbage in every buffer: neither cycle may read a stale x.
+                for lv in &mut ws.inner.tail {
+                    lv.x.fill(f32::NAN);
+                }
+                let mut x = vec![f32::NAN; n];
+                let InnerF32 {
+                    r0,
+                    d0,
+                    tail,
+                    coarse_b,
+                    coarse_x,
+                    ..
+                } = &mut ws.inner;
+                if reference {
+                    cycle_reference(&h, 0, &b, &mut x, r0, d0, tail, coarse_b, coarse_x);
+                } else {
+                    h.cycle(0, &b, &mut x, r0, d0, tail, coarse_b, coarse_x);
+                }
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(run(false), run(true), "{nx}x{ny}x{nz} shifted {shifted}");
+        }
     }
 
     #[test]

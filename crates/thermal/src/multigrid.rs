@@ -86,6 +86,13 @@ pub(crate) fn galerkin_chain(fine: &Assembled, shift: Option<&[f64]>) -> Vec<(Fa
     chain
 }
 
+/// Per-direction index shifts of `f`: fine index `i` lies in coarse
+/// aggregate `i >> shift` (every factor is 1 or 2).
+fn shifts(f: Factors) -> [u32; 3] {
+    debug_assert!(f.iter().all(|&v| v == 1 || v == 2), "factors {f:?}");
+    f.map(usize::trailing_zeros)
+}
+
 /// Galerkin coarsening of a face-conductance operator under pairwise
 /// aggregation: inter-aggregate fine face conductances sum into the
 /// coarse face between the owning aggregates, intra-aggregate faces
@@ -94,6 +101,7 @@ pub(crate) fn galerkin_chain(fine: &Assembled, shift: Option<&[f64]>) -> Vec<(Fa
 /// reproduces `Pᵀ·A·P` exactly (verified by the unit tests below).
 fn coarsen(op: &Assembled, f: Factors) -> Assembled {
     let (nx, ny, nz) = (op.dim.nx, op.dim.ny, op.dim.nz);
+    let [sx, sy, sz] = shifts(f);
     let (ncx, ncy, ncz) = (
         coarse_extent(nx, f[0]),
         coarse_extent(ny, f[1]),
@@ -104,18 +112,20 @@ fn coarsen(op: &Assembled, f: Factors) -> Assembled {
     let mut gy = vec![0.0; ncx * ncy.saturating_sub(1) * ncz];
     let mut gz = vec![0.0; ncx * ncy * ncz.saturating_sub(1)];
     for k in 0..nz {
-        let ck = k / f[2];
+        let ck = k >> sz;
+        let z_face = k + 1 < nz && (k + 1) >> sz != ck;
         for j in 0..ny {
-            let cj = j / f[1];
+            let cj = j >> sy;
+            let y_face = j + 1 < ny && (j + 1) >> sy != cj;
             for i in 0..nx {
-                let ci = i / f[0];
-                if i + 1 < nx && (i + 1) / f[0] != ci {
+                let ci = i >> sx;
+                if i + 1 < nx && (i + 1) >> sx != ci {
                     gx[(ck * ncy + cj) * (ncx - 1) + ci] += op.gx[(k * ny + j) * (nx - 1) + i];
                 }
-                if j + 1 < ny && (j + 1) / f[1] != cj {
+                if y_face {
                     gy[(ck * (ncy - 1) + cj) * ncx + ci] += op.gy[(k * (ny - 1) + j) * nx + i];
                 }
-                if k + 1 < nz && (k + 1) / f[2] != ck {
+                if z_face {
                     gz[(ck * ncy + cj) * ncx + ci] += op.gz[(k * ny + j) * nx + i];
                 }
             }
@@ -124,9 +134,9 @@ fn coarsen(op: &Assembled, f: Factors) -> Assembled {
     let mut g_bottom = vec![0.0; ncx * ncy];
     let mut g_top = vec![0.0; ncx * ncy];
     for j in 0..ny {
-        let cj = j / f[1];
+        let cj = j >> sy;
         for i in 0..nx {
-            let ci = i / f[0];
+            let ci = i >> sx;
             // The fine bottom (k = 0) and top (k = nz-1) slabs always land
             // in the coarse bottom and top aggregates respectively, so the
             // boundary conductance aggregates laterally.
@@ -137,40 +147,63 @@ fn coarsen(op: &Assembled, f: Factors) -> Assembled {
     Assembled::from_parts(cdim, gx, gy, gz, g_bottom, g_top)
 }
 
-/// Restriction `b_c = Pᵀ·r`: sums each aggregate's fine values (serial —
-/// transfer cost is negligible next to smoothing and must stay
-/// deterministic). Generic over the scalar: the f32 cycle and the f64
-/// shift aggregation share it.
+/// Restriction `b_c = Pᵀ·r`: sums each aggregate's fine values, row by
+/// row in fine order (serial — transfer cost is negligible next to
+/// smoothing and must stay deterministic). Generic over the scalar: the
+/// f32 cycle and the f64 shift aggregation share it.
 pub(crate) fn restrict<T>(fd: Dim3, cd: Dim3, f: Factors, fine: &[T], coarse: &mut [T])
 where
     T: Copy + Default + core::ops::AddAssign,
 {
+    let [sx, sy, sz] = shifts(f);
     coarse.fill(T::default());
     for k in 0..fd.nz {
-        let ck = k / f[2];
         for j in 0..fd.ny {
-            let cj = j / f[1];
-            for i in 0..fd.nx {
-                let ci = i / f[0];
-                coarse[(ck * cd.ny + cj) * cd.nx + ci] += fine[(k * fd.ny + j) * fd.nx + i];
+            let frow = &fine[(k * fd.ny + j) * fd.nx..][..fd.nx];
+            let crow = &mut coarse[((k >> sz) * cd.ny + (j >> sy)) * cd.nx..][..cd.nx];
+            if sx == 0 {
+                for (c, &v) in crow.iter_mut().zip(frow) {
+                    *c += v;
+                }
+            } else {
+                let (pairs, lone) = frow.as_chunks::<2>();
+                for (c, &[a, b]) in crow.iter_mut().zip(pairs) {
+                    *c += a;
+                    *c += b;
+                }
+                if let [v] = lone {
+                    crow[pairs.len()] += *v;
+                }
             }
         }
     }
 }
 
 /// Prolongation `x += P·x_c`: piecewise-constant injection of each
-/// aggregate's correction into its fine cells.
+/// aggregate's correction into its fine cells, row by row.
 pub(crate) fn prolong_add<T>(fd: Dim3, cd: Dim3, f: Factors, coarse: &[T], fine: &mut [T])
 where
     T: Copy + core::ops::AddAssign,
 {
+    let [sx, sy, sz] = shifts(f);
     for k in 0..fd.nz {
-        let ck = k / f[2];
         for j in 0..fd.ny {
-            let cj = j / f[1];
-            for i in 0..fd.nx {
-                let ci = i / f[0];
-                fine[(k * fd.ny + j) * fd.nx + i] += coarse[(ck * cd.ny + cj) * cd.nx + ci];
+            let frow = &mut fine[(k * fd.ny + j) * fd.nx..][..fd.nx];
+            let crow = &coarse[((k >> sz) * cd.ny + (j >> sy)) * cd.nx..][..cd.nx];
+            if sx == 0 {
+                for (o, &c) in frow.iter_mut().zip(crow) {
+                    *o += c;
+                }
+            } else {
+                let (pairs, lone) = frow.as_chunks_mut::<2>();
+                let np = pairs.len();
+                for (pair, &c) in pairs.iter_mut().zip(crow) {
+                    pair[0] += c;
+                    pair[1] += c;
+                }
+                if let [v] = lone {
+                    *v += crow[np];
+                }
             }
         }
     }
@@ -181,8 +214,12 @@ where
 #[derive(Debug, Clone)]
 pub(crate) struct DenseCholesky {
     n: usize,
-    /// Row-major lower-triangular factor (upper triangle unused).
+    /// Rows of the lower-triangular factor `L`, packed: row `i` holds
+    /// `L[i][0..=i]`.
     l: Vec<f64>,
+    /// Rows of `Lᵀ`, packed: row `i` holds `L[i..n][i]` — the column of
+    /// `L` that back substitution walks, stored contiguously.
+    lt: Vec<f64>,
 }
 
 impl DenseCholesky {
@@ -234,27 +271,40 @@ impl DenseCholesky {
                 }
             }
         }
-        Ok(Self { n, l: a })
+        let packed = n * (n + 1) / 2;
+        let (mut l, mut lt) = (Vec::with_capacity(packed), Vec::with_capacity(packed));
+        for i in 0..n {
+            l.extend_from_slice(&a[i * n..=i * n + i]);
+            lt.extend((i..n).map(|k| a[k * n + i]));
+        }
+        Ok(Self { n, l, lt })
     }
 
-    /// Solves `A·x = b` by forward/backward substitution.
+    /// Solves `A·x = b` by forward then backward substitution, each
+    /// reading its factor rows contiguously.
     pub(crate) fn solve(&self, b: &[f64], x: &mut [f64]) {
         let n = self.n;
         debug_assert_eq!(b.len(), n);
         debug_assert_eq!(x.len(), n);
+        let mut row = 0;
         for i in 0..n {
+            let li = &self.l[row..=row + i];
             let mut s = b[i];
-            for (k, xv) in x.iter().enumerate().take(i) {
-                s -= self.l[i * n + k] * xv;
+            for (lv, xv) in li.iter().zip(&x[..i]) {
+                s -= lv * xv;
             }
-            x[i] = s / self.l[i * n + i];
+            x[i] = s / li[i];
+            row += i + 1;
         }
+        let mut row = self.lt.len();
         for i in (0..n).rev() {
+            row -= n - i;
+            let ui = &self.lt[row..row + n - i];
             let mut s = x[i];
-            for (k, xv) in x.iter().enumerate().skip(i + 1) {
-                s -= self.l[k * n + i] * xv;
+            for (uv, xv) in ui[1..].iter().zip(&x[i + 1..]) {
+                s -= uv * xv;
             }
-            x[i] = s / self.l[i * n + i];
+            x[i] = s / ui[0];
         }
     }
 }
@@ -362,6 +412,202 @@ mod tests {
                 "shifted Galerkin mismatch: {a} vs {b}"
             );
         }
+    }
+
+    /// The transfers as they indexed before: one division per cell.
+    fn restrict_by_division<T>(fd: Dim3, cd: Dim3, f: Factors, fine: &[T]) -> Vec<T>
+    where
+        T: Copy + Default + core::ops::AddAssign,
+    {
+        let mut coarse = vec![T::default(); cd.len()];
+        for k in 0..fd.nz {
+            for j in 0..fd.ny {
+                for i in 0..fd.nx {
+                    let c = ((k / f[2]) * cd.ny + j / f[1]) * cd.nx + i / f[0];
+                    coarse[c] += fine[(k * fd.ny + j) * fd.nx + i];
+                }
+            }
+        }
+        coarse
+    }
+
+    fn prolong_by_division<T>(fd: Dim3, cd: Dim3, f: Factors, coarse: &[T], fine: &mut [T])
+    where
+        T: Copy + core::ops::AddAssign,
+    {
+        for k in 0..fd.nz {
+            for j in 0..fd.ny {
+                for i in 0..fd.nx {
+                    let c = ((k / f[2]) * cd.ny + j / f[1]) * cd.nx + i / f[0];
+                    fine[(k * fd.ny + j) * fd.nx + i] += coarse[c];
+                }
+            }
+        }
+    }
+
+    /// The coarse face conductances as [`coarsen`] summed them before:
+    /// one division per cell and neighbour.
+    fn coarse_faces_by_division(op: &Assembled, f: Factors, cd: Dim3) -> [Vec<f64>; 3] {
+        let (nx, ny, nz) = (op.dim.nx, op.dim.ny, op.dim.nz);
+        let (ncx, ncy, ncz) = (cd.nx, cd.ny, cd.nz);
+        let mut gx = vec![0.0; ncx.saturating_sub(1) * ncy * ncz];
+        let mut gy = vec![0.0; ncx * ncy.saturating_sub(1) * ncz];
+        let mut gz = vec![0.0; ncx * ncy * ncz.saturating_sub(1)];
+        for k in 0..nz {
+            let ck = k / f[2];
+            for j in 0..ny {
+                let cj = j / f[1];
+                for i in 0..nx {
+                    let ci = i / f[0];
+                    if i + 1 < nx && (i + 1) / f[0] != ci {
+                        gx[(ck * ncy + cj) * (ncx - 1) + ci] += op.gx[(k * ny + j) * (nx - 1) + i];
+                    }
+                    if j + 1 < ny && (j + 1) / f[1] != cj {
+                        gy[(ck * (ncy - 1) + cj) * ncx + ci] += op.gy[(k * (ny - 1) + j) * nx + i];
+                    }
+                    if k + 1 < nz && (k + 1) / f[2] != ck {
+                        gz[(ck * ncy + cj) * ncx + ci] += op.gz[(k * ny + j) * nx + i];
+                    }
+                }
+            }
+        }
+        [gx, gy, gz]
+    }
+
+    /// Every factor pattern the chain can produce (each direction 1 or
+    /// 2, not all 1), on even, odd and unit extents: the shift-indexed
+    /// transfers and coarsening equal the division form bit for bit
+    /// (transfers in f32 and f64).
+    #[test]
+    fn transfers_equal_the_division_form_bitwise() {
+        let mut rng = Rng64::seed_from_u64(0x7a);
+        let mut patterns = Vec::new();
+        for fx in [1, 2] {
+            for fy in [1, 2] {
+                for fz in [1, 2] {
+                    if [fx, fy, fz] != [1, 1, 1] {
+                        patterns.push([fx, fy, fz]);
+                    }
+                }
+            }
+        }
+        // The chains below must only ever use these patterns.
+        for dim in [(50, 50, 3), (1, 5, 2), (7, 1, 9), (20, 20, 20)] {
+            let asm = Assembled::build(&hetero(dim.0, dim.1, dim.2, 0x7b)).expect("well-posed");
+            for (f, _) in galerkin_chain(&asm, None) {
+                assert!(patterns.contains(&f), "unexpected factors {f:?}");
+            }
+        }
+        for f in patterns {
+            for fd in [
+                Dim3::new(7, 5, 6),
+                Dim3::new(8, 6, 4),
+                Dim3::new(1, 3, 5),
+                Dim3::new(9, 1, 1),
+            ] {
+                let cd = Dim3::new(
+                    coarse_extent(fd.nx, f[0]),
+                    coarse_extent(fd.ny, f[1]),
+                    coarse_extent(fd.nz, f[2]),
+                );
+                let asm = Assembled::build(&hetero(fd.nx, fd.ny, fd.nz, 0x7c)).expect("well-posed");
+                let c = coarsen(&asm, f);
+                assert_eq!(c.dim, cd);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let want = coarse_faces_by_division(&asm, f, cd);
+                for (got, want) in [&c.gx, &c.gy, &c.gz].into_iter().zip(&want) {
+                    assert_eq!(bits(got), bits(want), "coarsen {f:?} {fd:?}");
+                }
+
+                let fine: Vec<f64> = (0..fd.len())
+                    .map(|_| rng.gen_range_f64(-1e3..1e3))
+                    .collect();
+                let fine32: Vec<f32> = fine.iter().map(|&v| v as f32).collect();
+                let coarse: Vec<f64> = (0..cd.len())
+                    .map(|_| rng.gen_range_f64(-1.0..1.0))
+                    .collect();
+                let coarse32: Vec<f32> = coarse.iter().map(|&v| v as f32).collect();
+
+                let mut got = vec![f64::NAN; cd.len()];
+                restrict(fd, cd, f, &fine, &mut got);
+                let want = restrict_by_division(fd, cd, f, &fine);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "restrict f64 {f:?} {fd:?}"
+                );
+                let mut got32 = vec![f32::NAN; cd.len()];
+                restrict(fd, cd, f, &fine32, &mut got32);
+                let want32 = restrict_by_division(fd, cd, f, &fine32);
+                assert!(
+                    got32
+                        .iter()
+                        .zip(&want32)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "restrict f32 {f:?} {fd:?}"
+                );
+
+                let (mut got, mut want) = (fine.clone(), fine.clone());
+                prolong_add(fd, cd, f, &coarse, &mut got);
+                prolong_by_division(fd, cd, f, &coarse, &mut want);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "prolong f64 {f:?} {fd:?}"
+                );
+                let (mut got32, mut want32) = (fine32.clone(), fine32.clone());
+                prolong_add(fd, cd, f, &coarse32, &mut got32);
+                prolong_by_division(fd, cd, f, &coarse32, &mut want32);
+                assert!(
+                    got32
+                        .iter()
+                        .zip(&want32)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "prolong f32 {f:?} {fd:?}"
+                );
+            }
+        }
+    }
+
+    /// The packed forward rows and transposed back-substitution rows
+    /// reproduce the column-reading substitution on the full factor bit
+    /// for bit.
+    #[test]
+    fn packed_cholesky_solve_equals_the_column_form_bitwise() {
+        let asm = Assembled::build(&hetero(6, 5, 7, 0x42)).expect("well-posed");
+        let chol = DenseCholesky::factor(&asm).expect("SPD");
+        let n = chol.n;
+        let mut full = vec![0.0; n * n];
+        let mut row = 0;
+        for i in 0..n {
+            full[i * n..=i * n + i].copy_from_slice(&chol.l[row..=row + i]);
+            row += i + 1;
+        }
+        let mut rng = Rng64::seed_from_u64(0x43);
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-1.0..1.0)).collect();
+        let mut want = vec![0.0; n];
+        for i in 0..n {
+            let mut s = b[i];
+            for k in 0..i {
+                s -= full[i * n + k] * want[k];
+            }
+            want[i] = s / full[i * n + i];
+        }
+        for i in (0..n).rev() {
+            let mut s = want[i];
+            for k in i + 1..n {
+                s -= full[k * n + i] * want[k];
+            }
+            want[i] = s / full[i * n + i];
+        }
+        let mut got = vec![0.0; n];
+        chol.solve(&b, &mut got);
+        assert!(got
+            .iter()
+            .zip(&want)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

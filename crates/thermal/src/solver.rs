@@ -43,6 +43,7 @@ use crate::engine::ExecPlan;
 use crate::field::TemperatureField;
 use crate::kernels::Shadow;
 use crate::problem::Problem;
+use std::ops::{AddAssign, Mul, SubAssign};
 use std::time::Instant;
 use tsc_geometry::{Dim3, Grid3};
 use tsc_units::Power;
@@ -217,16 +218,6 @@ pub(crate) struct Assembled {
     /// Wall-clock seconds [`Assembled::build`] took, carried into stats.
     pub(crate) assembly_seconds: f64,
 }
-
-/// L2 budget per j-stripe of the blocked f64 matvec, in bytes — kept
-/// below typical per-core L2 so the neighbouring slabs' stripes the
-/// z-sweep reuses stay resident too (the f32 twin lives in
-/// `kernels::L2_TARGET_BYTES`).
-const MATVEC_L2_TARGET_BYTES: usize = 256 * 1024;
-
-/// f64 streams touched per cell of the blocked matvec: out, x and its
-/// two z-neighbour rows, diag, gx, gy×2, gz×2 ≈ 9 rows of 8 bytes.
-const MATVEC_STREAM_BYTES_PER_CELL: usize = 9 * 8;
 
 impl Assembled {
     /// Mesh dimensions of the assembled system.
@@ -466,16 +457,8 @@ impl Assembled {
         })
     }
 
-    /// `y[range] = (A + diag(shift))·x` over one slab-aligned band, as
-    /// cache-blocked branch-free row passes: for each j-stripe (sized so
-    /// a stripe's streams fit in L2, see [`MATVEC_L2_TARGET_BYTES`]) the
-    /// sweep runs through all z before the next stripe, and every pass
-    /// is a straight-line slice zip the autovectorizer packs. Each
-    /// output element accumulates its terms in the exact order of the
-    /// historical scalar gather loop — `diag`, `−gx⁺`, `−gx⁻`, `−gy⁺`,
-    /// `−gy⁻`, `−gz⁺`, `−gz⁻`, `+shift` — so the result is bitwise
-    /// identical to it (and independent of banding and thread count:
-    /// bands never write outside themselves).
+    /// `y[range] = (A + diag(shift))·x` over one slab-aligned band —
+    /// [`stencil_matvec`] on this operator's conductances.
     pub(crate) fn matvec_range(
         &self,
         x: &[f64],
@@ -483,76 +466,21 @@ impl Assembled {
         range: std::ops::Range<usize>,
         shift: Option<&[f64]>,
     ) {
-        let (nx, ny, nz) = (self.dim.nx, self.dim.ny, self.dim.nz);
-        let slab = nx * ny;
-        debug_assert_eq!(range.start % slab, 0, "bands must be slab-aligned");
-        debug_assert_eq!(range.end % slab, 0, "bands must be slab-aligned");
-        let (k_lo, k_hi) = (range.start / slab, range.end / slab);
-        let row_bytes = nx * MATVEC_STREAM_BYTES_PER_CELL;
-        let tile_j = (MATVEC_L2_TARGET_BYTES / row_bytes.max(1))
-            .max(8)
-            .min(ny.max(1));
-        for jt in (0..ny).step_by(tile_j) {
-            let j_end = (jt + tile_j).min(ny);
-            for k in k_lo..k_hi {
-                for j in jt..j_end {
-                    let row = (k * ny + j) * nx;
-                    let or = &mut out[row - range.start..row - range.start + nx];
-                    let xr = &x[row..row + nx];
-                    let dr = &self.diag[row..row + nx];
-                    for ((o, d), xv) in or.iter_mut().zip(dr).zip(xr) {
-                        *o = d * xv;
-                    }
-                    if nx > 1 {
-                        let gxr = &self.gx[(k * ny + j) * (nx - 1)..][..nx - 1];
-                        for ((o, g), xn) in or[..nx - 1].iter_mut().zip(gxr).zip(&xr[1..]) {
-                            *o -= g * xn;
-                        }
-                        for ((o, g), xp) in or[1..].iter_mut().zip(gxr).zip(xr) {
-                            *o -= g * xp;
-                        }
-                    }
-                    if j + 1 < ny {
-                        let gyr = &self.gy[(k * (ny - 1) + j) * nx..][..nx];
-                        let xn = &x[row + nx..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gyr).zip(xn) {
-                            *o -= g * xv;
-                        }
-                    }
-                    if j > 0 {
-                        let gyr = &self.gy[(k * (ny - 1) + j - 1) * nx..][..nx];
-                        let xp = &x[row - nx..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gyr).zip(xp) {
-                            *o -= g * xv;
-                        }
-                    }
-                    if k + 1 < nz {
-                        let gzr = &self.gz[(k * ny + j) * nx..][..nx];
-                        let xn = &x[row + slab..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gzr).zip(xn) {
-                            *o -= g * xv;
-                        }
-                    }
-                    if k > 0 {
-                        let gzr = &self.gz[((k - 1) * ny + j) * nx..][..nx];
-                        let xp = &x[row - slab..][..nx];
-                        for ((o, g), xv) in or.iter_mut().zip(gzr).zip(xp) {
-                            *o -= g * xv;
-                        }
-                    }
-                    if let Some(s) = shift {
-                        let sr = &s[row..row + nx];
-                        for ((o, sv), xv) in or.iter_mut().zip(sr).zip(xr) {
-                            *o += sv * xv;
-                        }
-                    }
-                }
-            }
-        }
+        let faces = Faces {
+            dim: self.dim,
+            diag: &self.diag,
+            gx: &self.gx,
+            gy: &self.gy,
+            gz: &self.gz,
+        };
+        stencil_matvec(&faces, shift, x, out, range);
     }
 
     /// Relative true residual `‖b − (A + diag(shift))·x‖ / bnorm`,
     /// reduced per-slab so the value is independent of the thread count.
+    /// `ax` receives `(A + diag(shift))·x`; `parts` (one slot per slab)
+    /// is scratch for the per-slab partials.
+    #[allow(clippy::too_many_arguments)] // scratch buffers, not an API
     pub(crate) fn residual_norm(
         &self,
         plan: &ExecPlan,
@@ -560,14 +488,15 @@ impl Assembled {
         b: &[f64],
         b_norm: f64,
         ax: &mut [f64],
+        parts: &mut [f64],
         shift: Option<&[f64]>,
     ) -> f64 {
         let slab = self.dim.nx * self.dim.ny;
-        let parts = plan.map_mut(ax, |range, chunk| {
+        plan.map_mut_slabs(ax, parts, |range, chunk, p| {
             self.matvec_range(x, chunk, range.clone(), shift);
-            slab_norm2_diff_parts(&b[range], chunk, slab)
+            slab_norm2_diff_into(&b[range], chunk, slab, p);
         });
-        ordered_sum(parts.into_iter().flatten()).sqrt() / b_norm
+        ordered_sum(parts.iter().copied()).sqrt() / b_norm
     }
 
     /// Jacobi-preconditioned CG on `(A + diag(shift))·x = rhs`,
@@ -806,6 +735,95 @@ impl Assembled {
     }
 }
 
+/// One operator level's stencil in face-conductance form, borrowed from
+/// an [`Assembled`] (f64) or its f32 shadow: `gx` is `(nx−1)·ny·nz`,
+/// x-major; `gy` is `nx·(ny−1)·nz`; `gz` is `nx·ny·(nz−1)`.
+pub(crate) struct Faces<'a, T> {
+    pub(crate) dim: Dim3,
+    pub(crate) diag: &'a [T],
+    pub(crate) gx: &'a [T],
+    pub(crate) gy: &'a [T],
+    pub(crate) gz: &'a [T],
+}
+
+/// `out[c − range.start] = ((A + diag(shift))·x)[c]` for `c` in the
+/// slab-aligned `range` — the seven-point matvec of both precisions.
+///
+/// Each slab is swept in whole-slab passes, one per stencil term: the
+/// diagonal, then `gx` row by row (its rows are `nx − 1` long, so they
+/// do not tile the slab), then `gy` and each `gz` neighbour as one
+/// contiguous zip over the slab (a `gy` face row lines up with the cell
+/// row it feeds, and a `gz` slab with the cell slab). Every output
+/// element still accumulates its terms in one fixed order — `diag`,
+/// `−gx⁺`, `−gx⁻`, `−gy⁺`, `−gy⁻`, `−gz⁺`, `−gz⁻`, `+shift` — the order
+/// of the scalar gather loop, so the result is bitwise identical to it,
+/// to any other pass schedule with the same per-element order, and to
+/// any banding (bands never write outside themselves).
+pub(crate) fn stencil_matvec<T>(
+    op: &Faces<'_, T>,
+    shift: Option<&[T]>,
+    x: &[T],
+    out: &mut [T],
+    range: std::ops::Range<usize>,
+) where
+    T: Copy + Mul<Output = T> + SubAssign + AddAssign,
+{
+    let (nx, ny, nz) = (op.dim.nx, op.dim.ny, op.dim.nz);
+    let slab = nx * ny;
+    debug_assert_eq!(range.start % slab, 0, "bands must be slab-aligned");
+    debug_assert_eq!(range.end % slab, 0, "bands must be slab-aligned");
+    let x_span = (nx - 1) * ny;
+    let y_span = nx * (ny - 1);
+    for (k, o) in (range.start / slab..range.end / slab).zip(out.chunks_exact_mut(slab)) {
+        let c0 = k * slab;
+        let xs = &x[c0..c0 + slab];
+        for ((ov, &d), &xv) in o.iter_mut().zip(&op.diag[c0..c0 + slab]).zip(xs) {
+            *ov = d * xv;
+        }
+        if nx > 1 {
+            let gxs = &op.gx[k * x_span..(k + 1) * x_span];
+            for ((orow, xrow), grow) in o
+                .chunks_exact_mut(nx)
+                .zip(xs.chunks_exact(nx))
+                .zip(gxs.chunks_exact(nx - 1))
+            {
+                for ((ov, &g), &xn) in orow[..nx - 1].iter_mut().zip(grow).zip(&xrow[1..]) {
+                    *ov -= g * xn;
+                }
+                for ((ov, &g), &xp) in orow[1..].iter_mut().zip(grow).zip(xrow) {
+                    *ov -= g * xp;
+                }
+            }
+        }
+        if ny > 1 {
+            let gys = &op.gy[k * y_span..(k + 1) * y_span];
+            for ((ov, &g), &xn) in o[..y_span].iter_mut().zip(gys).zip(&xs[nx..]) {
+                *ov -= g * xn;
+            }
+            for ((ov, &g), &xp) in o[nx..].iter_mut().zip(gys).zip(&xs[..y_span]) {
+                *ov -= g * xp;
+            }
+        }
+        if k + 1 < nz {
+            let gzs = &op.gz[c0..c0 + slab];
+            for ((ov, &g), &xn) in o.iter_mut().zip(gzs).zip(&x[c0 + slab..c0 + 2 * slab]) {
+                *ov -= g * xn;
+            }
+        }
+        if k > 0 {
+            let gzs = &op.gz[c0 - slab..c0];
+            for ((ov, &g), &xp) in o.iter_mut().zip(gzs).zip(&x[c0 - slab..c0]) {
+                *ov -= g * xp;
+            }
+        }
+        if let Some(s) = shift {
+            for ((ov, &sv), &xv) in o.iter_mut().zip(&s[c0..c0 + slab]).zip(xs) {
+                *ov += sv * xv;
+            }
+        }
+    }
+}
+
 /// Sequential left-to-right sum — the deterministic final reduction over
 /// per-slab partials.
 pub(crate) fn ordered_sum(parts: impl Iterator<Item = f64>) -> f64 {
@@ -826,35 +844,40 @@ pub(crate) fn slab_dot_parts(a: &[f64], b: &[f64], slab: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Per-slab partials of `Σ (a − b)²` without touching either input —
-/// the residual-norm reduction (`b` keeps holding `A·x` for the caller).
-pub(crate) fn slab_norm2_diff_parts(a: &[f64], b: &[f64], slab: usize) -> Vec<f64> {
+/// Per-slab partials of `Σ (a − b)²` into `out` (one slot per slab)
+/// without touching either input — the residual-norm reduction (`b`
+/// keeps holding `A·x` for the caller).
+pub(crate) fn slab_norm2_diff_into(a: &[f64], b: &[f64], slab: usize, out: &mut [f64]) {
     debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len().is_multiple_of(slab.max(1)));
-    a.chunks_exact(slab)
+    debug_assert_eq!(a.len(), slab * out.len());
+    for ((o, ca), cb) in out
+        .iter_mut()
+        .zip(a.chunks_exact(slab))
         .zip(b.chunks_exact(slab))
-        .map(|(ca, cb)| {
-            ca.iter().zip(cb).fold(0.0, |acc, (x, y)| {
-                let d = x - y;
-                acc + d * d
-            })
-        })
-        .collect()
+    {
+        *o = ca.iter().zip(cb).fold(0.0, |acc, (x, y)| {
+            let d = x - y;
+            acc + d * d
+        });
+    }
 }
 
-/// Per-slab partial dots of two f32 slices, accumulated in f64 in the
-/// same sequential per-slab order as [`slab_dot_parts`].
-pub(crate) fn slab_dot_wide_parts(a: &[f32], b: &[f32], slab: usize) -> Vec<f64> {
+/// Per-slab partial dots of two f32 slices into `out` (one slot per
+/// slab), accumulated in f64 in the same sequential per-slab order as
+/// [`slab_dot_parts`].
+pub(crate) fn slab_dot_wide_into(a: &[f32], b: &[f32], slab: usize, out: &mut [f64]) {
     debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len().is_multiple_of(slab.max(1)));
-    a.chunks_exact(slab)
+    debug_assert_eq!(a.len(), slab * out.len());
+    for ((o, ca), cb) in out
+        .iter_mut()
+        .zip(a.chunks_exact(slab))
         .zip(b.chunks_exact(slab))
-        .map(|(ca, cb)| {
-            ca.iter()
-                .zip(cb)
-                .fold(0.0, |acc, (&x, &y)| acc + f64::from(x) * f64::from(y))
-        })
-        .collect()
+    {
+        *o = ca
+            .iter()
+            .zip(cb)
+            .fold(0.0, |acc, (&x, &y)| acc + f64::from(x) * f64::from(y));
+    }
 }
 
 pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -1155,6 +1178,7 @@ impl SorSolver {
         #[cfg(not(feature = "fault-inject"))]
         let max_sweeps = self.max_sweeps;
         let mut scratch = vec![0.0; n];
+        let mut parts = vec![0.0; asm.dim.nz];
         let mut sweeps = 0_usize;
         let mut matvecs = 0_usize;
         let mut trajectory = Vec::new();
@@ -1165,11 +1189,12 @@ impl SorSolver {
             let last = sweeps == max_sweeps;
             if sweeps.is_multiple_of(self.check_interval) || last {
                 #[cfg(not(feature = "fault-inject"))]
-                let r = asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch, None);
+                let r =
+                    asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch, &mut parts, None);
                 #[cfg(feature = "fault-inject")]
                 let r = crate::fault::corrupt_residual(
                     sweeps,
-                    asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch, None),
+                    asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut scratch, &mut parts, None),
                 );
                 matvecs += 1;
                 trajectory.push((sweeps, r));
