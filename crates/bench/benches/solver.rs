@@ -1,8 +1,9 @@
 //! Benches of the finite-volume thermal solvers — f64 Jacobi-CG (the
 //! oracle), the mixed-precision multigrid path (production) and SOR
 //! (the cross-check) — including the serial-vs-parallel comparison on
-//! the paper's Gemmini 12-tier stack, and cold and warm production
-//! solves on the service's default mesh (the `sweep` operator).
+//! the paper's Gemmini 12-tier stack, and cold, warm and projected
+//! production solves on the service's default mesh (the `sweep`
+//! operator).
 //!
 //! Run with `cargo bench -p tsc-bench --bench solver`; set
 //! `BENCH_FAST=1` for a smoke pass on a smaller mesh. Results are
@@ -184,45 +185,74 @@ fn timing_ms(m: &Measurement) -> Json {
         .field("samples", m.samples)
 }
 
-/// Cold and warm production solves on the `sweep` operator. Cold is the
-/// first solve of a fresh [`SolveContext`] (assembly, shadow hierarchy
-/// build, solve from the initial guess); warm re-solves the cached
-/// operator from the previous field after a utilization change, the
-/// solve `sweep` requests pay. Asserts the warm solve's work counts, so
-/// a kernel change that alters the iteration shows here.
+/// Cold, warm and projected production solves on the `sweep` operator.
+/// Cold is the first solve of a fresh [`SolveContext`] (assembly, shadow
+/// hierarchy build, solve from the initial guess). Warm is the first
+/// re-solve of a context seeded once at 70 %, at 55 %: it starts from
+/// the previous field. Projected is the third solve of a context seeded
+/// at 70 and 55 %, at 85 %: it starts from the projection onto the two
+/// stored solutions, the start `sweep` requests get once a pooled
+/// context has seen two utilizations. Every warm and projected sample
+/// times a freshly seeded context, and both solves' work counts are
+/// asserted, so a kernel or history change that alters either shows
+/// here.
 fn bench_service_mesh(b: &Bench) -> Json {
     let solver = hot_loop_solver();
-    let (p70, p55) = (service_mesh(70.0), service_mesh(55.0));
+    let (p70, p55, p85) = (service_mesh(70.0), service_mesh(55.0), service_mesh(85.0));
     let cells = p70.dim().len();
     let cold = b.run("cold_solve", 200, || {
         SolveContext::new().solve(&p70, &solver).expect("cold")
     });
-    let mut ctx = SolveContext::new();
-    ctx.solve(&p70, &solver).expect("cold");
-    let warm_counts = |sol: &Solution| {
+    let seeded = |seeds: &[&Problem]| {
+        let mut ctx = SolveContext::new();
+        for p in seeds {
+            ctx.solve(p, &solver).expect("seed");
+        }
+        ctx
+    };
+    let counts = |sol: &Solution| {
         let s = &sol.stats;
         (s.iterations, s.refinements, s.cycles, s.matvecs)
     };
-    let first = ctx.solve(&p55, &solver).expect("warm");
-    assert_eq!(
-        warm_counts(&first),
-        (4, 2, 4, 7),
-        "warm solve (inner iterations, refinements, cycles, matvecs) changed"
+    let (warm_counts, projected_counts) = ((4, 2, 4, 7), (0, 0, 0, 1));
+    let warm = b.run_with_setup(
+        "warm_solve",
+        1000,
+        || seeded(&[&p70]),
+        |mut ctx| {
+            let sol = ctx.solve(&p55, &solver).expect("warm");
+            assert_eq!(
+                counts(&sol),
+                warm_counts,
+                "warm solve (inner iterations, refinements, cycles, matvecs) changed"
+            );
+            (ctx, sol)
+        },
     );
-    let mut flip = false;
-    let warm = b.run("warm_solve", 1000, || {
-        flip = !flip;
-        let sol = ctx
-            .solve(if flip { &p70 } else { &p55 }, &solver)
-            .expect("warm");
-        assert_eq!(
-            warm_counts(&sol),
-            (4, 2, 4, 7),
-            "warm solve work counts changed"
-        );
-        sol
-    });
-    let (iterations, refinements, cycles, matvecs) = warm_counts(&first);
+    let projected = b.run_with_setup(
+        "projected_solve",
+        1000,
+        || seeded(&[&p70, &p55]),
+        |mut ctx| {
+            let sol = ctx.solve(&p85, &solver).expect("projected");
+            assert_eq!(
+                counts(&sol),
+                projected_counts,
+                "projected solve (inner iterations, refinements, cycles, matvecs) changed"
+            );
+            assert_eq!(ctx.stats().projected_starts, 1, "the start was projected");
+            (ctx, sol)
+        },
+    );
+    let with_counts =
+        |m: &Measurement, utilization: &str, (iterations, refinements, cycles, matvecs)| {
+            timing_ms(m)
+                .field("utilization_percent", utilization)
+                .field("inner_iterations", iterations)
+                .field("refinements", refinements)
+                .field("cycles", cycles)
+                .field("matvecs", matvecs)
+        };
     Json::object()
         .field("mesh", "gemmini_8_tier/12x12x33")
         .field("cells", cells)
@@ -234,12 +264,15 @@ fn bench_service_mesh(b: &Bench) -> Json {
         .field("cold_solve", timing_ms(&cold))
         .field(
             "warm_solve",
-            timing_ms(&warm)
-                .field("utilization_percent", "70 <-> 55, alternating")
-                .field("inner_iterations", iterations)
-                .field("refinements", refinements)
-                .field("cycles", cycles)
-                .field("matvecs", matvecs),
+            with_counts(&warm, "70 -> 55, a context seeded once", warm_counts),
+        )
+        .field(
+            "projected_solve",
+            with_counts(
+                &projected,
+                "70, 55 -> 85, a context seeded twice",
+                projected_counts,
+            ),
         )
 }
 

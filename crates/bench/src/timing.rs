@@ -59,6 +59,19 @@ impl Bench {
     /// Warms up for ~3 iterations (capped at 1 s), then takes up to
     /// `samples` timed runs (capped at 3 when `BENCH_FAST` is set).
     pub fn run<T>(&self, name: &str, samples: usize, mut f: impl FnMut() -> T) -> Measurement {
+        self.run_with_setup(name, samples, || (), |()| f())
+    }
+
+    /// [`Bench::run`] with an untimed `setup` before every run of `f`,
+    /// which consumes its output: times a step that needs fresh state.
+    /// The value `f` returns is dropped after the clock stops.
+    pub fn run_with_setup<S, T>(
+        &self,
+        name: &str,
+        samples: usize,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> T,
+    ) -> Measurement {
         let samples = if self.fast {
             samples.min(3)
         } else {
@@ -67,16 +80,18 @@ impl Bench {
         // Warmup: run until ~1 s or 3 iterations, whichever first.
         let warm_start = Instant::now();
         for _ in 0..3 {
-            black_box(f());
+            black_box(f(setup()));
             if warm_start.elapsed() > Duration::from_secs(1) {
                 break;
             }
         }
         let mut times = Vec::with_capacity(samples);
         for _ in 0..samples {
+            let state = setup();
             let t0 = Instant::now();
-            black_box(f());
+            let out = black_box(f(state));
             times.push(t0.elapsed());
+            drop(out);
         }
         times.sort_unstable();
         let m = Measurement {

@@ -1,7 +1,7 @@
 //! Quick wall-clock comparison of the solver configurations — f64
 //! Jacobi-CG and the mixed-precision multigrid path — on the Gemmini
-//! 64×64×49 mesh, and the cold and warm production solve on the
-//! service's default mesh: a faster inner loop than the full solver
+//! 64×64×49 mesh, and the cold, warm and projected production solve on
+//! the service's default mesh: a faster inner loop than the full solver
 //! bench when iterating on kernels. Ignored by default:
 //!
 //! `cargo test --release -p tsc-bench --test kernel_profile -- --ignored --nocapture`
@@ -18,7 +18,7 @@ use tsc_core::beol::BeolProperties;
 use tsc_core::pillars;
 use tsc_core::stack::{build, hot_loop_solver, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{CgSolver, Heatsink, Precision, SolveContext};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, SolveContext, SolverStats};
 use tsc_units::Ratio;
 
 #[test]
@@ -50,9 +50,13 @@ fn profile_solvers() {
     }
 }
 
-/// Cold and warm production solves on the `sweep` operator (Gemmini, 8
-/// tiers of 12×12 cells, scaffolding, 10 % pillar budget, two-phase):
-/// median and quartiles of each, with the work counts of a warm solve.
+/// Cold, warm and projected production solves on the `sweep` operator
+/// (Gemmini, 8 tiers of 12×12 cells, scaffolding, 10 % pillar budget,
+/// two-phase), as in the solver bench: warm is the 55 % solve of a
+/// context seeded at 70 %, projected the 85 % solve of one seeded at 70
+/// and 55 %, each sample on a freshly seeded context. Prints median and
+/// quartiles of each, with the work counts of the last warm and
+/// projected solve.
 #[test]
 #[ignore]
 fn profile_service_mesh() {
@@ -68,7 +72,7 @@ fn profile_service_mesh() {
             ));
         build(&design, &cfg).problem
     };
-    let (p70, p55) = (problem(70.0), problem(55.0));
+    let (p70, p55, p85) = (problem(70.0), problem(55.0), problem(85.0));
     let solver = hot_loop_solver();
     let quartiles = |mut t: Vec<f64>| {
         t.sort_by(f64::total_cmp);
@@ -82,27 +86,39 @@ fn profile_service_mesh() {
             t.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    let mut ctx = SolveContext::new();
-    ctx.solve(&p70, &solver).expect("cold");
-    let mut last = None;
-    let warm: Vec<f64> = (0..1000)
-        .map(|i| {
-            let t = Instant::now();
-            let sol = ctx
-                .solve(if i % 2 == 0 { &p55 } else { &p70 }, &solver)
-                .expect("warm");
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            last = Some(sol.stats);
-            ms
-        })
-        .collect();
-    for (name, t) in [("cold solve", cold), ("warm solve", warm)] {
+    // Times the solve of `p` on a context seeded with `seeds`, keeping
+    // the last solve's stats.
+    let timed = |seeds: &[&Problem], p: &Problem, last: &mut Option<SolverStats>| {
+        (0..1000)
+            .map(|_| {
+                let mut ctx = SolveContext::new();
+                for seed in seeds {
+                    ctx.solve(seed, &solver).expect("seed");
+                }
+                let t = Instant::now();
+                let sol = ctx.solve(p, &solver).expect("solve");
+                let ms = t.elapsed().as_secs_f64() * 1e3;
+                *last = Some(sol.stats);
+                ms
+            })
+            .collect::<Vec<f64>>()
+    };
+    let (mut warm_stats, mut projected_stats) = (None, None);
+    let warm = timed(&[&p70], &p55, &mut warm_stats);
+    let projected = timed(&[&p70, &p55], &p85, &mut projected_stats);
+    for (name, t) in [
+        ("cold solve", cold),
+        ("warm solve", warm),
+        ("projected solve", projected),
+    ] {
         let (q1, median, q3) = quartiles(t);
-        println!("{name:10} median {median:.3} ms  quartiles {q1:.3}–{q3:.3} ms");
+        println!("{name:15} median {median:.3} ms  quartiles {q1:.3}–{q3:.3} ms");
     }
-    let s = last.expect("ran");
-    println!(
-        "warm solve: {} inner iterations, {} refinements, {} cycles, {} matvecs",
-        s.iterations, s.refinements, s.cycles, s.matvecs
-    );
+    for (name, stats) in [("warm", warm_stats), ("projected", projected_stats)] {
+        let s = stats.expect("ran");
+        println!(
+            "{name} solve: {} inner iterations, {} refinements, {} cycles, {} matvecs",
+            s.iterations, s.refinements, s.cycles, s.matvecs
+        );
+    }
 }

@@ -6,7 +6,7 @@
 //! overheads reproduces those within the fidelity the thermal study
 //! needs.
 
-use tsc_units::{Area, Frequency, HeatFlux, Length, Power, Ratio};
+use tsc_units::{Area, Frequency, HeatFlux, Length, Power};
 
 /// 7 nm-class 6T SRAM bitcell area (high-density cell ≈ 0.027 µm²).
 pub const BITCELL_AREA_UM2: f64 = 0.027;
@@ -103,13 +103,6 @@ impl SramMacro {
 pub fn megabytes_per_mm2() -> f64 {
     let one_mb = SramMacro::with_capacity(1 << 20);
     1.0 / one_mb.area().square_millimeters()
-}
-
-/// Utilization-to-activity helper: a cache at `utilization` of its peak
-/// bandwidth (one access/cycle) — used when painting LLC power.
-#[must_use]
-pub fn llc_activity(utilization: Ratio) -> f64 {
-    utilization.fraction()
 }
 
 #[cfg(test)]

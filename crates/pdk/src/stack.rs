@@ -1,7 +1,7 @@
 //! The metal stack: layers, groups, and dielectric assignment.
 
 use tsc_materials::Material;
-use tsc_units::{Capacitance, Delay, Length, RelativePermittivity};
+use tsc_units::{Delay, Length, RelativePermittivity};
 
 /// Which group of the BEOL a layer belongs to — the thermal abstraction
 /// boundary of the paper (M8–M9 modeled separately from V0–V7, which \[5\]
@@ -106,14 +106,6 @@ impl MetalStack {
     #[must_use]
     pub fn with_thermal_dielectric_upper(mut self) -> Self {
         self.upper_dielectric = tsc_materials::THERMAL_DIELECTRIC_DESIGN;
-        self
-    }
-
-    /// Replaces the upper-group dielectric with an arbitrary material
-    /// (for dielectric-conductivity sweeps, e.g. Fig. 12b).
-    #[must_use]
-    pub fn with_upper_dielectric(mut self, material: Material) -> Self {
-        self.upper_dielectric = material;
         self
     }
 
@@ -230,24 +222,6 @@ impl MetalStack {
         let l = length.meters();
         // Distributed RC: 0.5·r·c·L².
         Delay::new(0.5 * r * c * l * l)
-    }
-
-    /// Total capacitance of a wire on `name` of the given length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a metal layer of this stack.
-    #[must_use]
-    pub fn wire_capacitance(&self, name: &str, length: Length) -> Capacitance {
-        // tsc-analyze: allow(no-unwrap): documented panic contract above
-        // (`# Panics`); callers pass layer names they own.
-        let layer = self.layer(name).expect("layer exists");
-        assert!(!layer.is_via, "vias do not route signals");
-        let eps = self
-            .dielectric(layer.group)
-            .permittivity
-            .unwrap_or(RelativePermittivity::ULTRA_LOW_K);
-        Capacitance::new(crate::wire::capacitance_per_length(layer, eps) * length.meters())
     }
 }
 

@@ -1009,6 +1009,9 @@ fn accumulate_context_delta(metrics: &Metrics, before: &ContextStats, after: &Co
     metrics
         .ctx_warm_starts
         .add(d(after.warm_starts, before.warm_starts));
+    metrics
+        .ctx_projected_starts
+        .add(d(after.projected_starts, before.projected_starts));
 }
 
 fn render_solve(req: &SolveRequest, solved: &StackSolution, totals: ContextStats) -> String {
@@ -1038,7 +1041,8 @@ fn render_solve(req: &SolveRequest, solved: &StackSolution, totals: ContextStats
                 .field("solves", totals.solves)
                 .field("assemblies", totals.assemblies)
                 .field("operator_reuses", totals.operator_reuses)
-                .field("warm_starts", totals.warm_starts),
+                .field("warm_starts", totals.warm_starts)
+                .field("projected_starts", totals.projected_starts),
         )
         .pretty()
 }

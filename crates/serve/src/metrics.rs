@@ -221,6 +221,7 @@ pub struct Metrics {
     pub ctx_hierarchy_builds: Counter,
     pub ctx_f64_fallbacks: Counter,
     pub ctx_warm_starts: Counter,
+    pub ctx_projected_starts: Counter,
     // Transient session rollups (`POST /v1/transient`).
     pub transient_sessions_active: Gauge,
     pub transient_pinned: Gauge,
@@ -381,7 +382,7 @@ impl Metrics {
             ));
         }
 
-        let counters: [(&str, &str, u64); 38] = [
+        let counters: [(&str, &str, u64); 39] = [
             (
                 "tsc_coalesced_requests_total",
                 "Requests served by piggybacking on an identical in-flight solve.",
@@ -471,6 +472,11 @@ impl Metrics {
                 "tsc_context_warm_starts_total",
                 "Solves warm-started from a pooled temperature field.",
                 self.ctx_warm_starts.get(),
+            ),
+            (
+                "tsc_context_projected_starts_total",
+                "Warm starts projected onto a pooled context's recent solutions.",
+                self.ctx_projected_starts.get(),
             ),
             (
                 "tsc_batch_requests_total",

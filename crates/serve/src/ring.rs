@@ -82,18 +82,6 @@ impl HashRing {
         }
         None
     }
-
-    /// Like [`HashRing::route`], but skipping `exclude` as well — used to
-    /// pick a *different* shard for a retry after `exclude` failed.
-    #[must_use]
-    pub fn route_excluding(
-        &self,
-        key: u64,
-        exclude: usize,
-        healthy: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        self.route(key, |shard| shard != exclude && healthy(shard))
-    }
 }
 
 /// Consistent hashing **with bounded loads** (after Mirrokni, Thorup &

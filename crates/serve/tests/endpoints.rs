@@ -114,6 +114,51 @@ fn metrics_exposition_is_valid_and_tracks_requests() {
     server.shutdown();
 }
 
+/// The value of an unlabelled series in a Prometheus exposition.
+fn series(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("series {name} missing"))
+}
+
+#[test]
+fn utilization_sweep_projects_from_the_third_request() {
+    // One operator at changing utilizations: the pooled context seeds
+    // its history with the first two solves and starts every later one
+    // from the projection, which already meets the tolerance.
+    let server = start_server();
+    let addr = server.addr();
+    for (i, utilization) in [90.0, 55.0, 72.5, 100.0, 40.0, 63.0]
+        .into_iter()
+        .enumerate()
+    {
+        let body = format!(
+            r#"{{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6, "utilization_percent": {utilization}}}"#
+        );
+        let resp = one_shot(addr, "POST", "/v1/solve", &[], body.as_bytes());
+        assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+        let parsed = json::parse(&resp.body_str()).expect("solve body parses");
+        let num = |outer: &str, key: &str| {
+            parsed
+                .get(outer)
+                .and_then(|o| o.get(key))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("{outer}.{key}"))
+        };
+        let projected = i.saturating_sub(1) as f64;
+        assert_eq!(num("context", "projected_starts"), projected, "request {i}");
+        if i >= 2 {
+            assert_eq!(num("solver", "iterations"), 0.0, "request {i}");
+        }
+    }
+    let text = one_shot(addr, "GET", "/metrics", &[], b"").body_str();
+    validate_exposition(&text).expect("exposition validates");
+    assert_eq!(series(&text, "tsc_context_projected_starts_total"), 4.0);
+    assert_eq!(series(&text, "tsc_context_warm_starts_total"), 5.0);
+    server.shutdown();
+}
+
 #[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let server = start_server();

@@ -477,23 +477,6 @@ impl Problem {
         }
         Power::from_watts(w)
     }
-
-    /// Heat flowing *out* through the top heatsink (positive = extracted).
-    /// Zero when no top sink is attached.
-    #[must_use]
-    pub fn boundary_power_top(&self, field: &crate::TemperatureField) -> Power {
-        if self.top.is_none() {
-            return Power::ZERO;
-        }
-        let top = self.dim.nz - 1;
-        let mut w = 0.0;
-        for j in 0..self.dim.ny {
-            for i in 0..self.dim.nx {
-                w += self.g_top(i, j) * (field.at(i, j, top).kelvin() - self.top_ambient_at(i, j));
-            }
-        }
-        Power::from_watts(w)
-    }
 }
 
 #[cfg(test)]

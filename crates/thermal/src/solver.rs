@@ -1082,21 +1082,6 @@ impl SorSolver {
         }
     }
 
-    /// Builder: relaxation factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < omega < 2` (SOR stability bound).
-    #[must_use]
-    pub fn with_omega(mut self, omega: f64) -> Self {
-        assert!(
-            omega > 0.0 && omega < 2.0,
-            "SOR requires 0 < omega < 2, got {omega}"
-        );
-        self.omega = omega;
-        self
-    }
-
     /// Builder: relative residual tolerance.
     ///
     /// # Panics

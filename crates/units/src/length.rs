@@ -101,12 +101,6 @@ impl Area {
         Self::new(um2 * 1e-12)
     }
 
-    /// Creates an area from square millimeters.
-    #[must_use]
-    pub fn from_square_millimeters(mm2: f64) -> Self {
-        Self::new(mm2 * 1e-6)
-    }
-
     /// Creates an area from square centimeters.
     #[must_use]
     pub fn from_square_cm(cm2: f64) -> Self {
@@ -129,12 +123,6 @@ impl Area {
     #[must_use]
     pub fn square_millimeters(self) -> f64 {
         self.get() * 1e6
-    }
-
-    /// Value in square centimeters.
-    #[must_use]
-    pub fn square_cm(self) -> f64 {
-        self.get() * 1e4
     }
 
     /// Side length of a square with this area.

@@ -2,8 +2,8 @@
 //! single operator impl.
 
 use crate::{
-    Area, AreaThermalResistance, HeatFlux, HeatTransferCoefficient, Length, Power, Ratio,
-    TempDelta, Temperature, ThermalConductivity, ThermalResistance,
+    Area, AreaThermalResistance, HeatFlux, HeatTransferCoefficient, Length, Ratio, TempDelta,
+    Temperature, ThermalConductivity, ThermalResistance,
 };
 
 /// Junction temperature of a uniform `n`-tier stack in closed form.
@@ -124,12 +124,6 @@ pub fn spreading_resistance(
     let constriction = 1.0 / (2.0 * k.get() * 2.0 * a);
     let slab = layer_thickness.meters() / (k.get() * source_side.squared().square_meters());
     ThermalResistance::new(constriction.min(slab))
-}
-
-/// Total power of a uniformly dissipating region.
-#[must_use]
-pub fn region_power(flux: HeatFlux, width: Length, height: Length) -> Power {
-    flux * (width * height)
 }
 
 /// Area penalty of inserting `count` structures of footprint

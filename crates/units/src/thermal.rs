@@ -149,12 +149,6 @@ impl ThermalResistance {
 }
 
 impl AreaThermalResistance {
-    /// Lumped resistance over a footprint: `R = R''/A`.
-    #[must_use]
-    pub fn over_area(self, area: Area) -> ThermalResistance {
-        ThermalResistance::new(self.get() / area.get())
-    }
-
     /// The slab conductivity that would produce this resistance at the
     /// given thickness: `k = t/R''`.
     #[must_use]

@@ -5,10 +5,11 @@
 //! only skip redundant assembly work, never change arithmetic. The warm
 //! path is also checked (to physical tolerance, plus its stats
 //! contract), since a warm start legitimately changes the iterate
-//! sequence.
+//! sequence; a sequence of projected starts must still be bitwise
+//! independent of the thread count.
 
 use tsc_rng::Rng64;
-use tsc_thermal::{CgSolver, Heatsink, Problem, SolveContext};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, SolveContext};
 use tsc_units::{Length, Power, ThermalConductivity};
 use tsc_verify::assert_close;
 
@@ -156,5 +157,38 @@ fn ambient_map_changes_invalidate_the_cached_operator() {
         .abs()
             > 0.1,
         "the tilted ambient visibly changes the field"
+    );
+}
+
+#[test]
+fn projected_sequences_are_bitwise_identical_parallel_vs_serial() {
+    // A utilization family on one operator: from the third solve on,
+    // each start is the projection onto the stored solutions. Its dots
+    // run in index order, so forcing multi-band execution plans must not
+    // move a bit of any answer.
+    let (nx, ny, nz) = (10, 10, 6);
+    let family = |u: f64| problem(nx, ny, nz, &[(2, 3, 5, 1.2 * u), (7, 6, 5, 0.8 * u)]);
+    let mixed = CgSolver::new()
+        .with_tolerance(1e-9)
+        .with_precision(Precision::Mixed);
+    let serial = mixed.with_threads(1);
+    let parallel = mixed.with_threads(4).with_parallel_crossover(0);
+    let (mut ctx_serial, mut ctx_parallel) = (SolveContext::new(), SolveContext::new());
+    for (step, u) in [1.0, 0.6, 0.85, 0.3, 0.95, 0.6, 0.45]
+        .into_iter()
+        .enumerate()
+    {
+        let p = family(u);
+        let a = ctx_serial.solve(&p, &serial).expect("serial");
+        let b = ctx_parallel.solve(&p, &parallel).expect("parallel");
+        assert_eq!(b.stats.threads, 4, "the plan must engage its bands");
+        assert_bitwise_equal(&a, &b, &format!("step {step} (u = {u})"));
+        assert_eq!(a.stats.iterations, b.stats.iterations);
+    }
+    assert_eq!(ctx_serial.stats(), ctx_parallel.stats());
+    assert!(
+        ctx_serial.stats().projected_starts >= 4,
+        "{:?}",
+        ctx_serial.stats()
     );
 }
