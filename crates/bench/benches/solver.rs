@@ -3,7 +3,7 @@
 //! (the cross-check) — including the serial-vs-parallel comparison on
 //! the paper's Gemmini 12-tier stack, and cold, warm and projected
 //! production solves on the service's default mesh (the `sweep`
-//! operator).
+//! operator), beside the cost of fingerprinting that operator.
 //!
 //! Run with `cargo bench -p tsc-bench --bench solver`; set
 //! `BENCH_FAST=1` for a smoke pass on a smaller mesh. Results are
@@ -16,7 +16,9 @@ use tsc_core::beol::BeolProperties;
 use tsc_core::pillars;
 use tsc_core::stack::{build, hot_loop_solver, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, Solution, SolveContext, SorSolver};
+use tsc_thermal::{
+    operator_fingerprint, CgSolver, Heatsink, Precision, Problem, Solution, SolveContext, SorSolver,
+};
 use tsc_units::{Length, Power, Ratio, ThermalConductivity};
 
 fn slab(n: usize, nz: usize) -> Problem {
@@ -195,7 +197,9 @@ fn timing_ms(m: &Measurement) -> Json {
 /// context has seen two utilizations. Every warm and projected sample
 /// times a freshly seeded context, and both solves' work counts are
 /// asserted, so a kernel or history change that alters either shows
-/// here.
+/// here. The operator fingerprint — what the service hashes once per
+/// built stack to key its context pool — must cost less than the
+/// projected solve it routes to.
 fn bench_service_mesh(b: &Bench) -> Json {
     let solver = hot_loop_solver();
     let (p70, p55, p85) = (service_mesh(70.0), service_mesh(55.0), service_mesh(85.0));
@@ -244,6 +248,13 @@ fn bench_service_mesh(b: &Bench) -> Json {
             (ctx, sol)
         },
     );
+    let fingerprint = b.run("operator_fingerprint", 1000, || operator_fingerprint(&p70));
+    assert!(
+        fingerprint.median < projected.median,
+        "fingerprint {:?} must cost less than a projected solve {:?}",
+        fingerprint.median,
+        projected.median
+    );
     let with_counts =
         |m: &Measurement, utilization: &str, (iterations, refinements, cycles, matvecs)| {
             timing_ms(m)
@@ -274,6 +285,7 @@ fn bench_service_mesh(b: &Bench) -> Json {
                 projected_counts,
             ),
         )
+        .field("operator_fingerprint", timing_ms(&fingerprint))
 }
 
 fn max_dev_kelvin(a: &Solution, b: &Solution) -> f64 {

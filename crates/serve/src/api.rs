@@ -8,6 +8,8 @@
 //! same in-flight solve — and an executor that runs the solve through a
 //! pooled [`SolveContext`] and renders the response body.
 
+use std::sync::Arc;
+
 use tsc_bench::json::Json;
 use tsc_core::beol::BeolProperties;
 use tsc_core::flows::{run_flow_with, CoolingStrategy, FlowConfig};
@@ -16,13 +18,11 @@ use tsc_core::stack::{self, StackConfig, StackSolution};
 use tsc_designs::{fujitsu, gemmini, rocket, Design};
 use tsc_geometry::Grid3;
 use tsc_thermal::transient::{capacity, TransientRun};
-use tsc_thermal::{
-    operator_fingerprint, ContextStats, Heatsink, OperatorSignature, Solution, SolveContext,
-};
+use tsc_thermal::{ContextStats, Heatsink, Solution, SolveContext};
 use tsc_units::{Ratio, Temperature};
 
 use crate::metrics::Metrics;
-use crate::pool::{Checkout, ContextKey, ContextPool, ServicePools, TransientState};
+use crate::pool::{Checkout, ContextKey, ContextPool, ServicePools, StackEntry, TransientState};
 
 /// FNV-1a over bytes — the service's only hash, used for coalesce and
 /// pool keys.
@@ -212,8 +212,9 @@ impl SolveRequest {
     /// enters the built stack solely through the per-tier power maps
     /// (never the operator), so two solve requests that agree on this
     /// form assemble the same operator — a computable proxy for the
-    /// operator fingerprint that needs no stack build.  Batch grouping
-    /// and shard routing key on it.
+    /// operator fingerprint that needs no stack build.  Batch grouping,
+    /// shard routing and the stack cache key on it (see
+    /// [`Self::operator_id`]).
     pub fn operator_canonical(&self) -> Json {
         Json::object()
             .field("design", self.design.as_str())
@@ -224,40 +225,44 @@ impl SolveRequest {
             .field("area_budget_percent", self.area_budget_percent)
     }
 
+    /// The operator identity as a string: the stack cache's full key,
+    /// and the bytes whose FNV-1a is [`ApiJob::affinity_key`].
+    pub fn operator_id(&self) -> String {
+        format!("solve-operator\n{}", self.operator_canonical().pretty())
+    }
+
     fn stack_config(&self, design: &Design) -> StackConfig {
-        let spend = Ratio::from_percent(self.area_budget_percent);
-        let (beol, pillar_map) = match self.strategy {
-            CoolingStrategy::Scaffolding => (
-                BeolProperties::scaffolded(),
-                Some(pillars::uniform_routable_map(
+        let config = self.power_config();
+        match self.strategy {
+            CoolingStrategy::Scaffolding | CoolingStrategy::VerticalOnly => {
+                config.with_pillar_map(pillars::uniform_routable_map(
                     design,
-                    spend,
+                    Ratio::from_percent(self.area_budget_percent),
                     self.lateral_cells,
-                )),
-            ),
-            CoolingStrategy::VerticalOnly => (
-                BeolProperties::conventional(),
-                Some(pillars::uniform_routable_map(
-                    design,
-                    spend,
-                    self.lateral_cells,
-                )),
-            ),
+                ))
+            }
+            CoolingStrategy::ConventionalDummyVias => config,
+        }
+    }
+
+    /// [`Self::stack_config`] without the pillar map, which only a build
+    /// reads: all that [`stack::repower`] needs to repaint this request's
+    /// power on a stack built for its operator.
+    fn power_config(&self) -> StackConfig {
+        let beol = match self.strategy {
+            CoolingStrategy::Scaffolding => BeolProperties::scaffolded(),
+            CoolingStrategy::VerticalOnly => BeolProperties::conventional(),
             CoolingStrategy::ConventionalDummyVias => {
-                (BeolProperties::with_dummy_fill(spend), None)
+                BeolProperties::with_dummy_fill(Ratio::from_percent(self.area_budget_percent))
             }
         };
-        let mut config = StackConfig::uniform(self.tiers, beol, self.heatsink)
+        StackConfig::uniform(self.tiers, beol, self.heatsink)
             .with_lateral_cells(self.lateral_cells)
-            .with_utilizations(self.utilizations());
-        if let Some(map) = pillar_map {
-            config = config.with_pillar_map(map);
-        }
-        config
+            .with_utilizations(self.utilizations())
     }
 
     /// Per-tier utilizations: the only part of [`Self::stack_config`]
-    /// that differs between the items of one solve group.
+    /// that differs between requests on one operator.
     fn utilizations(&self) -> Vec<Ratio> {
         vec![Ratio::from_percent(self.utilization_percent); self.tiers]
     }
@@ -418,13 +423,7 @@ impl TransientRequest {
     /// Shard-affinity key: sessions land beside the steady solves for
     /// the same operator, where the contexts are already warm.
     pub fn affinity_key(&self) -> u64 {
-        fnv1a(
-            format!(
-                "solve-operator\n{}",
-                self.solve.operator_canonical().pretty()
-            )
-            .as_bytes(),
-        )
+        fnv1a(self.solve.operator_id().as_bytes())
     }
 
     /// Build fresh session state: stack build and transient staging on
@@ -457,7 +456,7 @@ impl TransientRequest {
     pub fn reuse_state(&self, state: &mut TransientState) -> Result<(), (u16, String)> {
         let design = lookup_design(&self.solve.design).map_err(|e| (500, e))?;
         state.run.reset(self.solve.heatsink.ambient);
-        stack::repower(&mut state.stack, design, &self.solve.stack_config(design));
+        stack::repower(&mut state.stack, design, &self.solve.power_config());
         state
             .run
             .restage_power_delta(state.stack.problem.power_flat());
@@ -474,7 +473,7 @@ impl TransientRequest {
         let design = lookup_design(&self.solve.design).map_err(|e| (500, e))?;
         let mut dimmed = self.solve.clone();
         dimmed.utilization_percent = utilization_percent;
-        stack::repower(&mut state.stack, design, &dimmed.stack_config(design));
+        stack::repower(&mut state.stack, design, &dimmed.power_config());
         state
             .run
             .restage_power_delta(state.stack.problem.power_flat());
@@ -556,14 +555,13 @@ impl ApiJob {
     /// The operator-affinity key: solve requests that assemble the same
     /// operator (identical geometry, utilization free) share one key, so
     /// the batch endpoint can run them through a single checked-out
-    /// context and the shard router keeps a design's contexts hot on one
-    /// shard.  Flow/pillars runs have no power-only delta, so their
-    /// affinity is their full identity.
+    /// context, the shard router keeps a design's contexts hot on one
+    /// shard, and the stack cache holds one stack per operator.
+    /// Flow/pillars runs have no power-only delta, so their affinity is
+    /// their full identity.
     pub fn affinity_key(&self) -> u64 {
         match self {
-            ApiJob::Solve(r) => {
-                fnv1a(format!("solve-operator\n{}", r.operator_canonical().pretty()).as_bytes())
-            }
+            ApiJob::Solve(r) => fnv1a(r.operator_id().as_bytes()),
             ApiJob::Flow(_) | ApiJob::Pillars(_) => self.coalesce_key(),
         }
     }
@@ -581,44 +579,9 @@ impl ApiJob {
     ) -> Result<String, (u16, String)> {
         let pool = &pools.contexts;
         match self {
-            ApiJob::Solve(req) => {
-                // lookup_design was validated at parse time; a racing
-                // registry change is impossible (it is a static).
-                let design = lookup_design(&req.design).map_err(|e| (500, e))?;
-                // The built stack (mesh + assembled problem) costs about
-                // as much as a cold solve, so it is cached too — keyed by
-                // the canonical body, which determines the build exactly.
-                let stack_id = self.canonical_id();
-                let stack_key = fnv1a(stack_id.as_bytes());
-                let stack = match pools.stacks.take(stack_key, &stack_id) {
-                    Some(stack) => {
-                        metrics.stack_cache_hits.inc();
-                        stack
-                    }
-                    None => {
-                        metrics.stack_cache_misses.inc();
-                        stack::build(design, &req.stack_config(design))
-                    }
-                };
-                // Pool key is the PR-2 operator fingerprint: geometry-true,
-                // so distinct requests that assemble the same operator
-                // share pooled state.  The full signature rides along so a
-                // 64-bit fingerprint collision degrades to a miss.
-                let key = operator_fingerprint(&stack.problem);
-                let ctx_key = ContextKey::Operator(OperatorSignature::of(&stack.problem));
-                let result = run_pooled(pool, metrics, key, ctx_key, |ctx| {
-                    let solution = ctx
-                        .solve(&stack.problem, &stack::hot_loop_solver())
-                        .map_err(|e| (500, format!("solve failed: {e}")))?;
-                    let stack_solution = StackSolution {
-                        solution,
-                        layout: stack.layout.clone(),
-                    };
-                    Ok(render_solve(req, &stack_solution, ctx.stats()))
-                });
-                pools.stacks.put(stack_key, stack_id, stack);
-                result
-            }
+            ApiJob::Solve(req) => execute_solve_group(&[self], &[req], pools, metrics)
+                .pop()
+                .expect("a solve group answers every item"),
             ApiJob::Flow(req) => {
                 let design = lookup_design(&req.design).map_err(|e| (500, e))?;
                 let key = self.coalesce_key();
@@ -732,13 +695,14 @@ pub fn catch_execute(
 /// Execute a group of jobs that share an [`ApiJob::affinity_key`],
 /// returning per-item results in order.
 ///
-/// Solve groups of two or more take the power-delta fast path: the
-/// stack is built (or taken from cache) once, the `SolveContext` is
-/// checked out once, and every item after the first only *repaints the
-/// power maps* ([`stack::repower`]) before re-solving — an operator
-/// reuse plus warm start instead of a rebuild plus cold solve.  Mixed
-/// or non-solve groups (and any item after an in-group panic) fall back
-/// to independent execution.  Every item has its own panic boundary.
+/// A group of solves (a single `/v1/solve` is a group of one) runs on
+/// one stack and one context: the stack is taken from the stack cache
+/// by operator identity (or built once), the `SolveContext` is checked
+/// out once, and an item at another utilization than the one painted
+/// only *repaints the power maps* ([`stack::repower`]) before its
+/// re-solve.  Mixed or non-solve groups (and any item after an in-group
+/// panic) fall back to independent execution.  Every item has its own
+/// panic boundary.
 pub fn execute_group(
     jobs: &[&ApiJob],
     pools: &ServicePools,
@@ -751,7 +715,7 @@ pub fn execute_group(
             _ => None,
         })
         .collect();
-    let groupable = jobs.len() >= 2
+    let groupable = !jobs.is_empty()
         && solves.is_some()
         && jobs
             .windows(2)
@@ -766,40 +730,52 @@ pub fn execute_group(
     execute_solve_group(jobs, &reqs, pools, metrics)
 }
 
+/// Repaint `entry`'s power maps at `req`'s utilization, unless they are
+/// painted there already.
+fn paint(entry: &mut StackEntry, design: &Design, req: &SolveRequest) {
+    let bits = req.utilization_percent.to_bits();
+    if entry.painted != bits {
+        stack::repower(&mut entry.stack, design, &req.power_config());
+        entry.painted = bits;
+    }
+}
+
+/// The one solve path: `jobs` are solve requests on one operator (see
+/// [`execute_group`]).
 fn execute_solve_group(
     jobs: &[&ApiJob],
     reqs: &[&SolveRequest],
     pools: &ServicePools,
     metrics: &Metrics,
 ) -> Vec<Result<String, (u16, String)>> {
-    metrics.batch_groups_total.inc();
+    if jobs.len() >= 2 {
+        metrics.batch_groups_total.inc();
+    }
     let design = match lookup_design(&reqs[0].design) {
         Ok(design) => design,
         // Unreachable (validated at parse), but never panic a worker.
         Err(e) => return jobs.iter().map(|_| Err((500, e.clone()))).collect(),
     };
 
-    // One stack config for the whole group: every item shares the
-    // operator, so items differ only in the utilizations repainted
-    // below. One stack, keyed (initially) by the first item's identity;
-    // one context checkout for the whole group.
-    let stack_id = jobs[0].canonical_id();
+    // One stack per operator: every item shares it and differs only in
+    // the utilization painted below. A miss builds it and takes its
+    // fingerprint and signature; a hit reuses both.
+    let stack_id = reqs[0].operator_id();
     let stack_key = fnv1a(stack_id.as_bytes());
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let config = reqs[0].stack_config(design);
-        let stack = match pools.stacks.take(stack_key, &stack_id) {
-            Some(stack) => {
+    let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match pools.stacks.take(stack_key, &stack_id) {
+            Some(entry) => {
                 metrics.stack_cache_hits.inc();
-                stack
+                entry
             }
             None => {
                 metrics.stack_cache_misses.inc();
-                stack::build(design, &config)
+                let stack = stack::build(design, &reqs[0].stack_config(design));
+                StackEntry::new(stack, reqs[0].utilization_percent)
             }
-        };
-        (stack, config)
+        }
     }));
-    let Ok((mut stack, mut config)) = built else {
+    let Ok(mut entry) = taken else {
         metrics.worker_panics.inc();
         return jobs
             .iter()
@@ -807,9 +783,8 @@ fn execute_solve_group(
             .collect();
     };
 
-    let key = operator_fingerprint(&stack.problem);
-    let ctx_key = ContextKey::Operator(OperatorSignature::of(&stack.problem));
-    let (mut ctx, outcome) = pools.contexts.checkout(key, &ctx_key);
+    let ctx_key = ContextKey::Operator(Arc::clone(&entry.signature));
+    let (mut ctx, outcome) = pools.contexts.checkout(entry.fingerprint, &ctx_key);
     match outcome {
         Checkout::Hit => metrics.pool_hits.inc(),
         Checkout::Miss => metrics.pool_misses.inc(),
@@ -817,14 +792,8 @@ fn execute_solve_group(
     let before = ctx.stats();
 
     let mut results = Vec::with_capacity(jobs.len());
-    // Identity of the power state currently painted on `stack` — the
-    // key it must be re-cached under.
-    let mut cached_id = stack_id;
     let mut poisoned = false;
     let mut superposed = false;
-    // Whether the planning pass below repainted the stack, so the
-    // fallback loop can no longer trust item 0's cached power state.
-    let mut repainted = false;
 
     // Affine fast path: within a group the operator is fixed (only
     // utilization differs, and pillar placement ignores utilization),
@@ -837,25 +806,22 @@ fn execute_solve_group(
         let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut powers = Vec::with_capacity(reqs.len());
             for req in reqs {
-                config.utilization = req.utilizations();
-                stack::repower(&mut stack, design, &config);
-                powers.push(stack.problem.power_flat().to_vec());
+                paint(&mut entry, design, req);
+                powers.push(entry.stack.problem.power_flat().to_vec());
             }
             tsc_thermal::affine_family(&powers)
         }));
-        repainted = true;
         match planned {
             Ok(Some(family)) => {
                 let anchors = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                     || -> Result<(Solution, Solution), (u16, String)> {
-                        let mut solve_anchor = |stack: &mut _, which: usize| {
-                            config.utilization = reqs[which].utilizations();
-                            stack::repower(stack, design, &config);
-                            ctx.solve(&stack.problem, &stack::hot_loop_solver())
+                        let mut solve_anchor = |entry: &mut StackEntry, which: usize| {
+                            paint(entry, design, reqs[which]);
+                            ctx.solve(&entry.stack.problem, &stack::hot_loop_solver())
                                 .map_err(|e| (500, format!("solve failed: {e}")))
                         };
-                        let low = solve_anchor(&mut stack, family.anchor_low)?;
-                        let high = solve_anchor(&mut stack, family.anchor_high)?;
+                        let low = solve_anchor(&mut entry, family.anchor_low)?;
+                        let high = solve_anchor(&mut entry, family.anchor_high)?;
                         Ok((low, high))
                     },
                 ));
@@ -865,7 +831,6 @@ fn execute_solve_group(
                         // The high anchor rides the low anchor's operator
                         // and warm start, like any power-delta item.
                         metrics.batch_group_warm_items_total.inc();
-                        cached_id = jobs[family.anchor_high].canonical_id();
                         for (i, req) in reqs.iter().enumerate() {
                             let solution = if i == family.anchor_low {
                                 low.clone()
@@ -877,7 +842,7 @@ fn execute_solve_group(
                             };
                             let stack_solution = StackSolution {
                                 solution,
-                                layout: stack.layout.clone(),
+                                layout: entry.stack.layout.clone(),
                             };
                             results.push(Ok(render_solve(req, &stack_solution, ctx.stats())));
                         }
@@ -913,16 +878,13 @@ fn execute_solve_group(
         }
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<String, (u16, String)> {
-                if i > 0 || repainted {
-                    config.utilization = req.utilizations();
-                    stack::repower(&mut stack, design, &config);
-                }
+                paint(&mut entry, design, req);
                 let solution = ctx
-                    .solve(&stack.problem, &stack::hot_loop_solver())
+                    .solve(&entry.stack.problem, &stack::hot_loop_solver())
                     .map_err(|e| (500, format!("solve failed: {e}")))?;
                 let stack_solution = StackSolution {
                     solution,
-                    layout: stack.layout.clone(),
+                    layout: entry.stack.layout.clone(),
                 };
                 Ok(render_solve(req, &stack_solution, ctx.stats()))
             },
@@ -933,7 +895,6 @@ fn execute_solve_group(
                 if i > 0 {
                     metrics.batch_group_warm_items_total.inc();
                 }
-                cached_id = job.canonical_id();
                 results.push(result);
             }
             Err(_) => {
@@ -945,12 +906,12 @@ fn execute_solve_group(
     }
 
     accumulate_context_delta(metrics, &before, &ctx.stats());
+    // A failed solve leaves both intact (the context revalidates itself);
+    // only a panic drops them.
     if !poisoned {
-        let evicted = pools.contexts.checkin(key, ctx_key, ctx);
+        let evicted = pools.contexts.checkin(entry.fingerprint, ctx_key, ctx);
         metrics.pool_evictions.add(evicted as u64);
-        pools
-            .stacks
-            .put(fnv1a(cached_id.as_bytes()), cached_id, stack);
+        pools.stacks.put(stack_key, stack_id, entry);
     }
     results
 }
@@ -1050,6 +1011,7 @@ fn render_solve(req: &SolveRequest, solved: &StackSolution, totals: ContextStats
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsc_thermal::operator_fingerprint;
 
     fn parse_json(text: &str) -> Json {
         tsc_bench::json::parse(text).expect("test JSON must parse")
@@ -1323,12 +1285,14 @@ mod tests {
             "temps {temps:?}"
         );
 
-        // The group's context and stack went back to the pools (the
-        // stack keyed by the last-painted anchor): a follow-up solve of
-        // the high anchor is a pure hit.
+        // The group's context and stack went back to the pools, the stack
+        // keyed by its operator: a follow-up solve at any utilization of
+        // the group hits both and rebuilds nothing.
         let _ = jobs[0].execute(&pools, &metrics).expect("follow-up");
         assert_eq!(metrics.pool_hits.get(), 1);
         assert_eq!(metrics.stack_cache_hits.get(), 1);
+        assert_eq!(metrics.stack_cache_misses.get(), 1);
+        assert_eq!(metrics.ctx_assemblies.get(), 1);
 
         // A mixed group (solve + flow) is not groupable and falls back to
         // independent execution, still one result per job, in order.
@@ -1352,9 +1316,10 @@ mod tests {
 
     #[test]
     fn group_config_with_item_utilization_builds_the_item_stack() {
-        // execute_solve_group derives one StackConfig per group and only
-        // swaps in each item's utilizations; that must build exactly the
-        // stack the item's own config builds.
+        // The stack cache holds one stack per operator, built at the
+        // first request's utilization; a request at another utilization
+        // repaints it with its own power config.  That must give exactly
+        // the stack the request's own config builds.
         for strategy in ["scaffolding", "vertical-only", "conventional"] {
             let item = |u: f64| {
                 let body = format!(
@@ -1370,16 +1335,9 @@ mod tests {
             };
             let (first, other) = (item(100.0), item(72.0));
             let design = lookup_design("gemmini").unwrap();
-            let mut group = first.stack_config(design);
-            group.utilization = other.utilizations();
-            let own = other.stack_config(design);
-            assert_eq!(
-                group.pillar_map.as_ref().map(|m| bits(m.iter().copied())),
-                own.pillar_map.as_ref().map(|m| bits(m.iter().copied())),
-                "{strategy}: pillar map"
-            );
-
-            let (a, b) = (stack::build(design, &group), stack::build(design, &own));
+            let mut a = stack::build(design, &first.stack_config(design));
+            stack::repower(&mut a, design, &other.power_config());
+            let b = stack::build(design, &other.stack_config(design));
             assert_eq!(
                 bits(a.problem.power_flat().iter().copied()),
                 bits(b.problem.power_flat().iter().copied()),

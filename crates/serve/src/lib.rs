@@ -27,8 +27,9 @@
 //! # Architecture
 //!
 //! Heavy requests flow: connection thread → [coalescing map] → bounded
-//! job queue (429 + `Retry-After` when full) → worker thread → LRU
-//! [`pool::ContextPool`] of `SolveContext`s keyed by the PR-2 operator
+//! job queue (429 + `Retry-After` when full) → worker thread → the
+//! operator's built stack from the stack cache, then an LRU
+//! [`pool::ContextPool`] of `SolveContext`s keyed by its operator
 //! fingerprint → response fanned out to every coalesced waiter as the
 //! same bytes.  Deadlines are waiter-side only (504): an accepted job
 //! always executes, keeping the pool warm.  Shutdown closes the queue

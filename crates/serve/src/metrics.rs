@@ -256,10 +256,6 @@ impl Metrics {
         }
     }
 
-    pub fn requests_for(&self, endpoint: &str, status: u16) -> u64 {
-        self.requests[endpoint_index(endpoint)][status_index(status)].get()
-    }
-
     /// Render the full Prometheus text exposition.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(8192);

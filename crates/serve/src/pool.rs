@@ -3,20 +3,24 @@
 //! Two levels, both capped by `--pool-cap` (0 disables both, for no-pool
 //! A/B benchmarking):
 //!
-//! * [`ContextPool`] — [`SolveContext`]s keyed by the PR-2 operator
+//! * [`ContextPool`] — [`SolveContext`]s keyed by the operator
 //!   fingerprint (solve endpoint) or the canonical request body
 //!   (flow/pillars).  A pooled context carries the assembled operator,
-//!   the multigrid hierarchy, and the last temperature field for one
-//!   geometry, so a repeat solve skips assembly and hierarchy
-//!   construction and warm-starts from the previous field.
-//! * The *stack cache* (an [`LruPool`]`<String, Stack3d>` keyed by the
-//!   canonical request hash) — the built mesh/problem for a
-//!   `POST /v1/solve` body.  Building a stack (pillar map,
-//!   homogenization, assembly inputs) costs about as much as a cold
-//!   solve, so without this cache a pooled hot request would still pay
-//!   half its cold cost.
+//!   the multigrid hierarchy, and the recent solutions a re-solve starts
+//!   from, for one geometry, so a repeat solve skips assembly and
+//!   hierarchy construction.
+//! * The *stack cache* (an [`LruPool`]`<String, StackEntry>`) — the built
+//!   mesh/problem of `POST /v1/solve` bodies, keyed by **operator
+//!   identity**: the string whose FNV-1a is the request's affinity key
+//!   (`solve-operator\n{operator canonical}`), the key shard routing and
+//!   batch grouping already use.  Utilization is left out of the key:
+//!   it enters the stack through the power maps only, so a hit at
+//!   another utilization repaints them ([`stack::repower`]) instead of
+//!   rebuilding the stack (pillar map, homogenization, mesh).  Each
+//!   entry also carries its operator fingerprint and signature, computed
+//!   once at build, so a hit hashes nothing before the context checkout.
 //!
-//! Every pool routes on a 64-bit FNV-1a hash but stores the **full key**
+//! Every pool routes on a 64-bit hash but stores the **full key**
 //! beside each entry and equality-checks it on every take.  The hash is
 //! a routing hint, not an identity: a 64-bit collision between two
 //! distinct geometries used to alias their pooled state (handing one
@@ -26,12 +30,15 @@
 //! `take`/`checkout` *remove* the entry — state is owned by exactly one
 //! worker at a time, so two concurrent solves on the same geometry get
 //! distinct copies rather than a shared lock.
+//!
+//! [`stack::repower`]: tsc_core::stack::repower
 
 use crate::locks::{rank, RankedMutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use tsc_core::stack::Stack3d;
 use tsc_thermal::transient::TransientRun;
-use tsc_thermal::{OperatorSignature, SolveContext};
+use tsc_thermal::{operator_fingerprint, OperatorSignature, SolveContext};
 
 /// Outcome of a checkout, for metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,13 +198,42 @@ pub struct TransientState {
     pub stack: Stack3d,
 }
 
+/// A built stack in the stack cache, with the operator identity the
+/// context pool checks out by.  The fingerprint and signature are taken
+/// once, when the stack is built: repainting power never changes them,
+/// and nothing outside this crate can touch the stack's operator.
+pub struct StackEntry {
+    pub(crate) stack: Stack3d,
+    /// [`operator_fingerprint`] of `stack.problem`: the context pool's
+    /// routing hash.
+    pub(crate) fingerprint: u64,
+    /// The full operator identity: the context pool's validation key,
+    /// shared so a checkout does not copy the conductivity grids.
+    pub(crate) signature: Arc<OperatorSignature>,
+    /// Bits of the `utilization_percent` whose power maps are painted
+    /// on `stack`; a request at other bits repaints before it solves.
+    pub(crate) painted: u64,
+}
+
+impl StackEntry {
+    /// Wrap a freshly built stack painted at `utilization_percent`.
+    pub(crate) fn new(stack: Stack3d, utilization_percent: f64) -> Self {
+        StackEntry {
+            fingerprint: operator_fingerprint(&stack.problem),
+            signature: Arc::new(OperatorSignature::of(&stack.problem)),
+            painted: utilization_percent.to_bits(),
+            stack,
+        }
+    }
+}
+
 /// Full validation key of a pooled [`SolveContext`] — stored beside the
 /// routing hash and compared on every checkout.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ContextKey {
     /// Geometry-true operator identity (`POST /v1/solve`): distinct
     /// requests that assemble the same operator share pooled state.
-    Operator(OperatorSignature),
+    Operator(Arc<OperatorSignature>),
     /// Canonical request identity (`POST /v1/flow`, `POST /v1/pillars`):
     /// endpoint + canonical JSON body.
     Canonical(String),
@@ -248,7 +284,7 @@ impl ContextPool {
 /// Both pool levels, built together from one `--pool-cap`.
 pub struct ServicePools {
     pub contexts: ContextPool,
-    pub stacks: LruPool<String, Stack3d>,
+    pub stacks: LruPool<String, StackEntry>,
     /// Transient sessions, keyed by the canonical session id (operator
     /// canonical + timestep bits).  Entries are *pinned* while a session
     /// is live, so concurrent sessions on the same geometry each own a
@@ -304,6 +340,51 @@ mod tests {
         assert_eq!(pool.len(), 1, "the colliding entry must survive");
         let (_, outcome) = pool.checkout(0xDEAD_BEEF, &key("stack-a"));
         assert_eq!(outcome, Checkout::Hit, "the real owner still hits");
+    }
+
+    fn stack_entry(lateral_cells: usize) -> StackEntry {
+        use tsc_core::beol::BeolProperties;
+        use tsc_core::stack::{self, StackConfig};
+        let config = StackConfig::uniform(
+            2,
+            BeolProperties::conventional(),
+            tsc_thermal::Heatsink::two_phase(),
+        )
+        .with_lateral_cells(lateral_cells);
+        let design = tsc_designs::gemmini::memory_tier();
+        StackEntry::new(stack::build(&design, &config), 100.0)
+    }
+
+    #[test]
+    fn stack_cache_collision_is_a_miss_for_operator_entries() {
+        let pool: LruPool<String, StackEntry> = LruPool::new(4);
+        pool.put(7, "solve-operator\na".into(), stack_entry(6));
+        assert!(
+            pool.take(7, &"solve-operator\nb".to_string()).is_none(),
+            "collision must be a miss"
+        );
+        assert_eq!(pool.len(), 1, "the colliding entry must survive");
+        let hit = pool
+            .take(7, &"solve-operator\na".to_string())
+            .expect("the real owner still hits");
+        assert_eq!(hit.fingerprint, operator_fingerprint(&hit.stack.problem));
+        assert!(hit.signature.matches(&hit.stack.problem));
+        assert_eq!(hit.painted, 100.0_f64.to_bits());
+    }
+
+    #[test]
+    fn operator_keys_compare_signatures_not_hashes() {
+        let (a, b) = (stack_entry(6), stack_entry(8));
+        let pool = ContextPool::new(4);
+        let key_a = ContextKey::Operator(Arc::clone(&a.signature));
+        let (ctx, _) = pool.checkout(1, &key_a);
+        pool.checkin(1, key_a, ctx);
+        let key_b = ContextKey::Operator(Arc::clone(&b.signature));
+        assert_eq!(pool.checkout(1, &key_b).1, Checkout::Miss);
+        assert_eq!(pool.len(), 1, "the colliding entry must survive");
+        // An equal signature in another allocation is the same operator.
+        let again = ContextKey::Operator(Arc::new(OperatorSignature::of(&a.stack.problem)));
+        assert_eq!(pool.checkout(1, &again).1, Checkout::Hit);
     }
 
     #[test]

@@ -295,3 +295,15 @@ pub fn field_num(event: &Json, key: &str) -> f64 {
 pub fn event_kind(event: &Json) -> String {
     field_str(event, "event")
 }
+
+/// `tsc_requests_total{endpoint, status}` as the server's own exposition
+/// reports it; 0 while the series is absent (zero counters are not
+/// rendered).
+pub fn requests_for(metrics: &tsc_serve::Metrics, endpoint: &str, status: u16) -> u64 {
+    let series = format!("tsc_requests_total{{endpoint=\"{endpoint}\",status=\"{status}\"}} ");
+    metrics
+        .render()
+        .lines()
+        .find_map(|line| line.strip_prefix(series.as_str()))
+        .map_or(0, |n| n.trim().parse().expect("counter value"))
+}

@@ -160,6 +160,63 @@ fn utilization_sweep_projects_from_the_third_request() {
 }
 
 #[test]
+fn utilization_sweep_over_one_operator_builds_one_stack() {
+    // The stack cache keys on the operator, not the body: the first
+    // request builds the stack, every later one repaints its power.  The
+    // answers must still be those of a stack built for each body.
+    use tsc_core::beol::BeolProperties;
+    use tsc_core::pillars::uniform_routable_map;
+    use tsc_core::stack::{self, StackConfig};
+    use tsc_thermal::Heatsink;
+    use tsc_units::Ratio;
+
+    let server = start_server();
+    let addr = server.addr();
+    let design = tsc_designs::gemmini::memory_tier();
+    let (tiers, cells) = (2, 6);
+    let utilizations = [90.0, 55.0, 72.5, 100.0, 40.0, 63.0];
+    for utilization in utilizations {
+        let body = format!(
+            r#"{{"design": "gemmini-memory", "tiers": {tiers}, "lateral_cells": {cells}, "utilization_percent": {utilization}}}"#
+        );
+        let resp = one_shot(addr, "POST", "/v1/solve", &[], body.as_bytes());
+        assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+        let served = json::parse(&resp.body_str())
+            .expect("solve body parses")
+            .get("junction_celsius")
+            .and_then(Json::as_f64)
+            .expect("junction field");
+        let config =
+            StackConfig::uniform(tiers, BeolProperties::scaffolded(), Heatsink::two_phase())
+                .with_lateral_cells(cells)
+                .with_utilizations(vec![Ratio::from_percent(utilization); tiers])
+                .with_pillar_map(uniform_routable_map(
+                    &design,
+                    Ratio::from_percent(10.0),
+                    cells,
+                ));
+        let reference = stack::solve(&design, &config)
+            .expect("reference solve")
+            .junction_temperature()
+            .celsius();
+        // Both solvers stop at a 1e-8 relative residual; on this mesh
+        // that leaves them 0.5–1.1 µK apart, cold or warm.
+        assert!(
+            (served - reference).abs() <= 1e-5,
+            "{utilization} %: served {served} vs reference {reference}"
+        );
+    }
+    let metrics = server.metrics();
+    assert_eq!(metrics.stack_cache_misses.get(), 1);
+    assert_eq!(
+        metrics.stack_cache_hits.get(),
+        utilizations.len() as u64 - 1
+    );
+    assert_eq!(metrics.ctx_assemblies.get(), 1);
+    server.shutdown();
+}
+
+#[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let server = start_server();
     let mut client = TestClient::connect(server.addr());

@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use common::one_shot;
+use common::{one_shot, requests_for};
 use tsc_bench::json::{self, Json};
 use tsc_bench::prom::parse_exposition;
 use tsc_serve::router::{Router, RouterConfig};
@@ -118,7 +118,7 @@ fn failover_reroutes_and_readmits_a_restarted_backend() {
     }
     // The restarted (cold) shard is actually serving probes again.
     wait_until("restarted shard serves", Duration::from_secs(10), || {
-        restarted.metrics().requests_for("healthz", 200) > 0
+        requests_for(restarted.metrics(), "healthz", 200) > 0
     });
 
     router.shutdown();
@@ -247,7 +247,7 @@ fn sequential_solves_reuse_one_upstream_connection_per_shard() {
     // Both shards served, each over the one connection dialed for its
     // first request.
     for backend in [&backend_a, &backend_b] {
-        assert!(backend.metrics().requests_for("solve", 200) > 0);
+        assert!(requests_for(backend.metrics(), "solve", 200) > 0);
     }
     let connects = router.metrics().upstream_connects_total.get();
     assert!(

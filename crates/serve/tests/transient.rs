@@ -12,7 +12,7 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{event_kind, field_num, field_str, SessionClient};
+use common::{event_kind, field_num, field_str, requests_for, SessionClient};
 use tsc_bench::json::{parse, Json};
 use tsc_serve::api::TransientRequest;
 use tsc_serve::{Server, ServerConfig};
@@ -88,7 +88,7 @@ fn session_lifecycle_open_steps_power_close() {
 
     assert_eq!(server.metrics().transient_sessions_total.get(), 1);
     assert_eq!(server.metrics().transient_steps_total.get(), 33);
-    assert_eq!(server.metrics().requests_for("transient", 200), 1);
+    assert_eq!(requests_for(server.metrics(), "transient", 200), 1);
     assert_eq!(server.metrics().worker_panics.get(), 0);
     // Clean close returned the pinned state to the pool.
     assert_eq!(server.pools().transients.pinned(), 0);
@@ -237,7 +237,7 @@ fn session_cap_refuses_excess_sessions_with_429() {
 
     let mut second = SessionClient::open(server.addr(), SMALL_BODY, &[]);
     assert_eq!(second.read_head(EVENT_WAIT), 429);
-    assert_eq!(server.metrics().requests_for("transient", 429), 1);
+    assert_eq!(requests_for(server.metrics(), "transient", 429), 1);
 
     first.send(r#"{"op": "close"}"#);
     let _ = first.next_event(EVENT_WAIT);
