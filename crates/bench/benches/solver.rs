@@ -16,9 +16,7 @@ use tsc_core::beol::BeolProperties;
 use tsc_core::pillars;
 use tsc_core::stack::{build, hot_loop_solver, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{
-    operator_fingerprint, CgSolver, Heatsink, Precision, Problem, Solution, SolveContext, SorSolver,
-};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Problem, Solution, SolveContext, SorSolver};
 use tsc_units::{Length, Power, Ratio, ThermalConductivity};
 
 fn slab(n: usize, nz: usize) -> Problem {
@@ -248,13 +246,6 @@ fn bench_service_mesh(b: &Bench) -> Json {
             (ctx, sol)
         },
     );
-    let fingerprint = b.run("operator_fingerprint", 1000, || operator_fingerprint(&p70));
-    assert!(
-        fingerprint.median < projected.median,
-        "fingerprint {:?} must cost less than a projected solve {:?}",
-        fingerprint.median,
-        projected.median
-    );
     let with_counts =
         |m: &Measurement, utilization: &str, (iterations, refinements, cycles, matvecs)| {
             timing_ms(m)
@@ -285,7 +276,6 @@ fn bench_service_mesh(b: &Bench) -> Json {
                 projected_counts,
             ),
         )
-        .field("operator_fingerprint", timing_ms(&fingerprint))
 }
 
 fn max_dev_kelvin(a: &Solution, b: &Solution) -> f64 {

@@ -749,12 +749,25 @@ mod tests {
                 }
             }
         }
-        // The operator identity must survive the repaint — that is the
+        // The operator must survive the repaint bitwise — that is the
         // whole point of the fast path.
-        assert_eq!(
-            tsc_thermal::operator_fingerprint(&repowered.problem),
-            tsc_thermal::operator_fingerprint(&fresh.problem)
-        );
+        for k in 0..dim.nz {
+            for j in 0..dim.ny {
+                for i in 0..dim.nx {
+                    let (a, b) = (&repowered.problem, &fresh.problem);
+                    assert_eq!(
+                        a.kz_at(i, j, k).get().to_bits(),
+                        b.kz_at(i, j, k).get().to_bits(),
+                        "kz at ({i},{j},{k})"
+                    );
+                    assert_eq!(
+                        a.kxy_at(i, j, k).get().to_bits(),
+                        b.kxy_at(i, j, k).get().to_bits(),
+                        "kxy at ({i},{j},{k})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

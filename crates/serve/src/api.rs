@@ -3,12 +3,10 @@
 //! Bodies are the `tsc_bench::json` dialect.  Each heavy endpoint has a
 //! typed request struct parsed from JSON with defaults and range
 //! validation, a *canonical* JSON form (defaults applied, keys sorted by
-//! the emitter) whose FNV-1a hash is the coalescing key — two requests
-//! that differ only in field order or omitted defaults coalesce onto the
-//! same in-flight solve — and an executor that runs the solve through a
+//! the emitter) that is the coalescing key — two requests that differ
+//! only in field order or omitted defaults coalesce onto the same
+//! in-flight solve — and an executor that runs the solve through a
 //! pooled [`SolveContext`] and renders the response body.
-
-use std::sync::Arc;
 
 use tsc_bench::json::Json;
 use tsc_core::beol::BeolProperties;
@@ -17,23 +15,13 @@ use tsc_core::pillars::{self, PlacementConfig};
 use tsc_core::stack::{self, StackConfig, StackSolution};
 use tsc_designs::{fujitsu, gemmini, rocket, Design};
 use tsc_geometry::Grid3;
+use tsc_jobs::fnv1a_bytes;
 use tsc_thermal::transient::{capacity, TransientRun};
 use tsc_thermal::{ContextStats, Heatsink, Solution, SolveContext};
 use tsc_units::{Ratio, Temperature};
 
 use crate::metrics::Metrics;
-use crate::pool::{Checkout, ContextKey, ContextPool, ServicePools, StackEntry, TransientState};
-
-/// FNV-1a over bytes — the service's only hash, used for coalesce and
-/// pool keys.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+use crate::pool::{LruPool, OperatorEntry, ServicePools, TransientState};
 
 /// The built-in design registry served by `GET /v1/designs` and referenced
 /// by name in requests.
@@ -211,10 +199,9 @@ impl SolveRequest {
     /// The canonical form *minus* the power-only knob.  Utilization
     /// enters the built stack solely through the per-tier power maps
     /// (never the operator), so two solve requests that agree on this
-    /// form assemble the same operator — a computable proxy for the
-    /// operator fingerprint that needs no stack build.  Batch grouping,
-    /// shard routing and the stack cache key on it (see
-    /// [`Self::operator_id`]).
+    /// form assemble the same operator, which needs no stack build to
+    /// tell.  Batch grouping, shard routing and the operator pool key on
+    /// it (see [`Self::operator_id`]).
     pub fn operator_canonical(&self) -> Json {
         Json::object()
             .field("design", self.design.as_str())
@@ -225,8 +212,9 @@ impl SolveRequest {
             .field("area_budget_percent", self.area_budget_percent)
     }
 
-    /// The operator identity as a string: the stack cache's full key,
-    /// and the bytes whose FNV-1a is [`ApiJob::affinity_key`].
+    /// The operator identity as a string: the operator pool's key, the
+    /// batch grouping's, and the bytes whose FNV-1a is
+    /// [`ApiJob::affinity_key`].
     pub fn operator_id(&self) -> String {
         format!("solve-operator\n{}", self.operator_canonical().pretty())
     }
@@ -423,7 +411,7 @@ impl TransientRequest {
     /// Shard-affinity key: sessions land beside the steady solves for
     /// the same operator, where the contexts are already warm.
     pub fn affinity_key(&self) -> u64 {
-        fnv1a(self.solve.operator_id().as_bytes())
+        fnv1a_bytes(self.solve.operator_id().as_bytes())
     }
 
     /// Build fresh session state: stack build and transient staging on
@@ -534,8 +522,10 @@ impl ApiJob {
         }
     }
 
-    /// The full canonical identity: endpoint + canonical JSON.  This is
-    /// what pools store beside the hash and compare on every hit.
+    /// The full canonical identity: endpoint + canonical JSON.  The
+    /// coalescing key, and the context pool's for flow and pillars runs.
+    /// Requests that differ only in key order or omitted defaults share
+    /// it.
     pub fn canonical_id(&self) -> String {
         let canonical = match self {
             ApiJob::Solve(r) => r.canonical(),
@@ -545,25 +535,24 @@ impl ApiJob {
         format!("{}\n{}", self.endpoint(), canonical.pretty())
     }
 
-    /// The coalescing key: FNV-1a of [`ApiJob::canonical_id`].  Requests
-    /// that differ only in key order or omitted defaults share a key.
-    /// This hash routes; it never stands in for the identity itself.
-    pub fn coalesce_key(&self) -> u64 {
-        fnv1a(self.canonical_id().as_bytes())
-    }
-
-    /// The operator-affinity key: solve requests that assemble the same
-    /// operator (identical geometry, utilization free) share one key, so
-    /// the batch endpoint can run them through a single checked-out
-    /// context, the shard router keeps a design's contexts hot on one
-    /// shard, and the stack cache holds one stack per operator.
+    /// The operator-affinity identity: solve requests that assemble the
+    /// same operator (identical geometry, utilization free) share it, so
+    /// the batch endpoint runs them as one group on one pooled operator.
     /// Flow/pillars runs have no power-only delta, so their affinity is
     /// their full identity.
-    pub fn affinity_key(&self) -> u64 {
+    pub fn affinity_id(&self) -> String {
         match self {
-            ApiJob::Solve(r) => fnv1a(r.operator_id().as_bytes()),
-            ApiJob::Flow(_) | ApiJob::Pillars(_) => self.coalesce_key(),
+            ApiJob::Solve(r) => r.operator_id(),
+            ApiJob::Flow(_) | ApiJob::Pillars(_) => self.canonical_id(),
         }
+    }
+
+    /// FNV-1a of [`Self::affinity_id`]: the shard router's placement on
+    /// its hash ring, which keeps an operator's pooled state hot on one
+    /// shard.  Only the ring reads it; every pool and group compares the
+    /// identity itself.
+    pub fn affinity_key(&self) -> u64 {
+        fnv1a_bytes(self.affinity_id().as_bytes())
     }
 
     /// Execute against the service pools, recording pool and solver
@@ -579,14 +568,14 @@ impl ApiJob {
     ) -> Result<String, (u16, String)> {
         let pool = &pools.contexts;
         match self {
-            ApiJob::Solve(req) => execute_solve_group(&[self], &[req], pools, metrics)
-                .pop()
-                .expect("a solve group answers every item"),
+            ApiJob::Solve(req) => {
+                execute_solve_group(&[self], &[req], req.operator_id(), pools, metrics)
+                    .pop()
+                    .expect("a solve group answers every item")
+            }
             ApiJob::Flow(req) => {
                 let design = lookup_design(&req.design).map_err(|e| (500, e))?;
-                let key = self.coalesce_key();
-                let ctx_key = ContextKey::Canonical(self.canonical_id());
-                run_pooled(pool, metrics, key, ctx_key, |ctx| {
+                run_pooled(pool, metrics, self.canonical_id(), |ctx| {
                     let result = run_flow_with(design, &req.config, ctx)
                         .map_err(|e| (500, format!("flow failed: {e}")))?;
                     Ok(Json::object()
@@ -606,9 +595,7 @@ impl ApiJob {
             }
             ApiJob::Pillars(req) => {
                 let design = lookup_design(&req.design).map_err(|e| (500, e))?;
-                let key = self.coalesce_key();
-                let ctx_key = ContextKey::Canonical(self.canonical_id());
-                run_pooled(pool, metrics, key, ctx_key, |ctx| {
+                run_pooled(pool, metrics, self.canonical_id(), |ctx| {
                     let plan = pillars::place_with(design, &req.config, ctx)
                         .map_err(|e| (500, format!("placement failed: {e}")))?;
                     Ok(match plan {
@@ -692,17 +679,17 @@ pub fn catch_execute(
     }
 }
 
-/// Execute a group of jobs that share an [`ApiJob::affinity_key`],
+/// Execute a group of jobs that share an [`ApiJob::affinity_id`],
 /// returning per-item results in order.
 ///
 /// A group of solves (a single `/v1/solve` is a group of one) runs on
-/// one stack and one context: the stack is taken from the stack cache
-/// by operator identity (or built once), the `SolveContext` is checked
-/// out once, and an item at another utilization than the one painted
-/// only *repaints the power maps* ([`stack::repower`]) before its
-/// re-solve.  Mixed or non-solve groups (and any item after an in-group
-/// panic) fall back to independent execution.  Every item has its own
-/// panic boundary.
+/// one pooled operator entry: its stack and `SolveContext` are taken
+/// from the operator pool together (or built once), and an item at
+/// another utilization than the one painted only *repaints the power
+/// maps* ([`stack::repower`]) before its re-solve.  Mixed or non-solve
+/// groups, solves on more than one operator (and any item after an
+/// in-group panic) fall back to independent execution.  Every item has
+/// its own panic boundary.
 pub fn execute_group(
     jobs: &[&ApiJob],
     pools: &ServicePools,
@@ -715,24 +702,26 @@ pub fn execute_group(
             _ => None,
         })
         .collect();
-    let groupable = !jobs.is_empty()
-        && solves.is_some()
-        && jobs
-            .windows(2)
-            .all(|w| w[0].affinity_key() == w[1].affinity_key());
-    let Some(reqs) = solves.filter(|_| groupable) else {
+    let grouped = solves.filter(|reqs| !reqs.is_empty()).and_then(|reqs| {
+        let operator_id = reqs[0].operator_id();
+        reqs[1..]
+            .iter()
+            .all(|r| r.operator_id() == operator_id)
+            .then_some((reqs, operator_id))
+    });
+    let Some((reqs, operator_id)) = grouped else {
         return jobs
             .iter()
             .map(|job| catch_execute(job, pools, metrics))
             .collect();
     };
 
-    execute_solve_group(jobs, &reqs, pools, metrics)
+    execute_solve_group(jobs, &reqs, operator_id, pools, metrics)
 }
 
 /// Repaint `entry`'s power maps at `req`'s utilization, unless they are
 /// painted there already.
-fn paint(entry: &mut StackEntry, design: &Design, req: &SolveRequest) {
+fn paint(entry: &mut OperatorEntry, design: &Design, req: &SolveRequest) {
     let bits = req.utilization_percent.to_bits();
     if entry.painted != bits {
         stack::repower(&mut entry.stack, design, &req.power_config());
@@ -740,11 +729,25 @@ fn paint(entry: &mut StackEntry, design: &Design, req: &SolveRequest) {
     }
 }
 
-/// The one solve path: `jobs` are solve requests on one operator (see
-/// [`execute_group`]).
+/// Paint `req`'s power on `entry` and solve it on the entry's context.
+fn solve_at(
+    entry: &mut OperatorEntry,
+    design: &Design,
+    req: &SolveRequest,
+) -> Result<Solution, (u16, String)> {
+    paint(entry, design, req);
+    entry
+        .ctx
+        .solve(&entry.stack.problem, &stack::hot_loop_solver())
+        .map_err(|e| (500, format!("solve failed: {e}")))
+}
+
+/// The one solve path: `jobs` are solve requests on the operator named
+/// by `operator_id` (see [`execute_group`]).
 fn execute_solve_group(
     jobs: &[&ApiJob],
     reqs: &[&SolveRequest],
+    operator_id: String,
     pools: &ServicePools,
     metrics: &Metrics,
 ) -> Vec<Result<String, (u16, String)>> {
@@ -757,21 +760,21 @@ fn execute_solve_group(
         Err(e) => return jobs.iter().map(|_| Err((500, e.clone()))).collect(),
     };
 
-    // One stack per operator: every item shares it and differs only in
-    // the utilization painted below. A miss builds it and takes its
-    // fingerprint and signature; a hit reuses both.
-    let stack_id = reqs[0].operator_id();
-    let stack_key = fnv1a(stack_id.as_bytes());
+    // One entry per operator: every item shares its stack and context
+    // and differs only in the utilization painted before its solve.  One
+    // lookup moves both the context-pool and the stack-cache counters.
     let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match pools.stacks.take(stack_key, &stack_id) {
+        match pools.operators.take(&operator_id) {
             Some(entry) => {
+                metrics.pool_hits.inc();
                 metrics.stack_cache_hits.inc();
                 entry
             }
             None => {
+                metrics.pool_misses.inc();
                 metrics.stack_cache_misses.inc();
                 let stack = stack::build(design, &reqs[0].stack_config(design));
-                StackEntry::new(stack, reqs[0].utilization_percent)
+                OperatorEntry::new(stack, reqs[0].utilization_percent)
             }
         }
     }));
@@ -782,14 +785,7 @@ fn execute_solve_group(
             .map(|_| Err((500, "internal error: worker panicked".to_string())))
             .collect();
     };
-
-    let ctx_key = ContextKey::Operator(Arc::clone(&entry.signature));
-    let (mut ctx, outcome) = pools.contexts.checkout(entry.fingerprint, &ctx_key);
-    match outcome {
-        Checkout::Hit => metrics.pool_hits.inc(),
-        Checkout::Miss => metrics.pool_misses.inc(),
-    }
-    let before = ctx.stats();
+    let before = entry.ctx.stats();
 
     let mut results = Vec::with_capacity(jobs.len());
     let mut poisoned = false;
@@ -815,13 +811,8 @@ fn execute_solve_group(
             Ok(Some(family)) => {
                 let anchors = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                     || -> Result<(Solution, Solution), (u16, String)> {
-                        let mut solve_anchor = |entry: &mut StackEntry, which: usize| {
-                            paint(entry, design, reqs[which]);
-                            ctx.solve(&entry.stack.problem, &stack::hot_loop_solver())
-                                .map_err(|e| (500, format!("solve failed: {e}")))
-                        };
-                        let low = solve_anchor(&mut entry, family.anchor_low)?;
-                        let high = solve_anchor(&mut entry, family.anchor_high)?;
+                        let low = solve_at(&mut entry, design, reqs[family.anchor_low])?;
+                        let high = solve_at(&mut entry, design, reqs[family.anchor_high])?;
                         Ok((low, high))
                     },
                 ));
@@ -844,7 +835,7 @@ fn execute_solve_group(
                                 solution,
                                 layout: entry.stack.layout.clone(),
                             };
-                            results.push(Ok(render_solve(req, &stack_solution, ctx.stats())));
+                            results.push(Ok(render_solve(req, &stack_solution, entry.ctx.stats())));
                         }
                         superposed = true;
                     }
@@ -878,15 +869,12 @@ fn execute_solve_group(
         }
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<String, (u16, String)> {
-                paint(&mut entry, design, req);
-                let solution = ctx
-                    .solve(&entry.stack.problem, &stack::hot_loop_solver())
-                    .map_err(|e| (500, format!("solve failed: {e}")))?;
+                let solution = solve_at(&mut entry, design, req)?;
                 let stack_solution = StackSolution {
                     solution,
                     layout: entry.stack.layout.clone(),
                 };
-                Ok(render_solve(req, &stack_solution, ctx.stats()))
+                Ok(render_solve(req, &stack_solution, entry.ctx.stats()))
             },
         ));
         match attempt {
@@ -905,41 +893,45 @@ fn execute_solve_group(
         }
     }
 
-    accumulate_context_delta(metrics, &before, &ctx.stats());
-    // A failed solve leaves both intact (the context revalidates itself);
-    // only a panic drops them.
+    accumulate_context_delta(metrics, &before, &entry.ctx.stats());
+    // A failed solve leaves the entry intact (the context revalidates
+    // itself); only a panic drops it.
     if !poisoned {
-        let evicted = pools.contexts.checkin(entry.fingerprint, ctx_key, ctx);
+        let evicted = pools.operators.put(operator_id, entry);
         metrics.pool_evictions.add(evicted as u64);
-        pools.stacks.put(stack_key, stack_id, entry);
     }
     results
 }
 
-/// Check a context out of the pool, run `body`, accumulate the context's
-/// stat deltas into the metrics rollup, and check the context back in.
+/// Take a context out of `pool` (or start a fresh one), run `body`,
+/// accumulate the context's stat deltas into the metrics rollup, and put
+/// the context back.
 fn run_pooled<F>(
-    pool: &ContextPool,
+    pool: &LruPool<SolveContext>,
     metrics: &Metrics,
-    key: u64,
-    ctx_key: ContextKey,
+    key: String,
     body: F,
 ) -> Result<String, (u16, String)>
 where
     F: FnOnce(&mut SolveContext) -> Result<String, (u16, String)>,
 {
-    let (mut ctx, outcome) = pool.checkout(key, &ctx_key);
-    match outcome {
-        Checkout::Hit => metrics.pool_hits.inc(),
-        Checkout::Miss => metrics.pool_misses.inc(),
-    }
+    let mut ctx = match pool.take(&key) {
+        Some(ctx) => {
+            metrics.pool_hits.inc();
+            ctx
+        }
+        None => {
+            metrics.pool_misses.inc();
+            SolveContext::new()
+        }
+    };
     let before = ctx.stats();
     let result = body(&mut ctx);
     accumulate_context_delta(metrics, &before, &ctx.stats());
     metrics.backend_solves_total.inc();
-    // Check the context back in even on failure: the context revalidates
+    // Put the context back even on failure: the context revalidates
     // itself, so a failed solve cannot poison later requests.
-    let evicted = pool.checkin(key, ctx_key, ctx);
+    let evicted = pool.put(key, ctx);
     metrics.pool_evictions.add(evicted as u64);
     result
 }
@@ -1011,7 +1003,8 @@ fn render_solve(req: &SolveRequest, solved: &StackSolution, totals: ContextStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsc_thermal::operator_fingerprint;
+
+    const SMALL_SOLVE: &[u8] = br#"{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6}"#;
 
     fn parse_json(text: &str) -> Json {
         tsc_bench::json::parse(text).expect("test JSON must parse")
@@ -1066,13 +1059,13 @@ mod tests {
         let c = ApiJob::parse("/v1/solve", br#"{"design": "gemmini", "tiers": 6}"#)
             .unwrap()
             .unwrap();
-        assert_eq!(a.coalesce_key(), b.coalesce_key());
-        assert_ne!(a.coalesce_key(), c.coalesce_key());
+        assert_eq!(a.canonical_id(), b.canonical_id());
+        assert_ne!(a.canonical_id(), c.canonical_id());
         // Same body on a different endpoint must not collide.
         let flow = ApiJob::parse("/v1/flow", br#"{"design": "gemmini"}"#)
             .unwrap()
             .unwrap();
-        assert_ne!(a.coalesce_key(), flow.coalesce_key());
+        assert_ne!(a.canonical_id(), flow.canonical_id());
     }
 
     #[test]
@@ -1141,14 +1134,21 @@ mod tests {
         .unwrap()
         .unwrap();
         // Power-only variants share an operator; geometry changes do not.
-        assert_ne!(base.coalesce_key(), dimmed.coalesce_key());
+        assert_ne!(base.canonical_id(), dimmed.canonical_id());
+        assert_eq!(base.affinity_id(), dimmed.affinity_id());
         assert_eq!(base.affinity_key(), dimmed.affinity_key());
+        assert_ne!(base.affinity_id(), resized.affinity_id());
         assert_ne!(base.affinity_key(), resized.affinity_key());
+        // The ring's key is the FNV-1a of the identity.
+        assert_eq!(
+            base.affinity_key(),
+            fnv1a_bytes(base.affinity_id().as_bytes())
+        );
         // Flow jobs have no power-only delta: affinity is full identity.
         let flow = ApiJob::parse("/v1/flow", br#"{"design": "gemmini"}"#)
             .unwrap()
             .unwrap();
-        assert_eq!(flow.affinity_key(), flow.coalesce_key());
+        assert_eq!(flow.affinity_id(), flow.canonical_id());
     }
 
     #[test]
@@ -1241,7 +1241,7 @@ mod tests {
         let refs: Vec<&ApiJob> = jobs.iter().collect();
         assert!(refs
             .windows(2)
-            .all(|w| w[0].affinity_key() == w[1].affinity_key()));
+            .all(|w| w[0].affinity_id() == w[1].affinity_id()));
 
         let pools = ServicePools::new(4);
         let metrics = Metrics::default();
@@ -1285,9 +1285,9 @@ mod tests {
             "temps {temps:?}"
         );
 
-        // The group's context and stack went back to the pools, the stack
-        // keyed by its operator: a follow-up solve at any utilization of
-        // the group hits both and rebuilds nothing.
+        // The group's stack and context went back to the operator pool
+        // as one entry: a follow-up solve at any utilization of the group
+        // hits it and rebuilds nothing.
         let _ = jobs[0].execute(&pools, &metrics).expect("follow-up");
         assert_eq!(metrics.pool_hits.get(), 1);
         assert_eq!(metrics.stack_cache_hits.get(), 1);
@@ -1310,13 +1310,86 @@ mod tests {
         );
     }
 
+    fn junction(body: &str) -> f64 {
+        parse_json(body)
+            .get("junction_celsius")
+            .and_then(Json::as_f64)
+            .expect("junction field")
+    }
+
+    #[test]
+    fn group_of_two_operators_answers_each_on_its_own() {
+        let solve = |budget: f64| {
+            ApiJob::parse(
+                "/v1/solve",
+                format!(
+                    r#"{{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6,
+                        "area_budget_percent": {budget}}}"#
+                )
+                .as_bytes(),
+            )
+            .unwrap()
+            .unwrap()
+        };
+        let (a, b) = (solve(10.0), solve(20.0));
+        assert_ne!(a.affinity_id(), b.affinity_id());
+        let alone = |job: &ApiJob| {
+            let body = job
+                .execute(&ServicePools::new(4), &Metrics::default())
+                .expect("single solve");
+            junction(&body)
+        };
+        let pools = ServicePools::new(4);
+        let metrics = Metrics::default();
+        let results = execute_group(&[&a, &b], &pools, &metrics);
+        assert_eq!(results.len(), 2);
+        for (job, result) in [&a, &b].into_iter().zip(&results) {
+            let body = result.as_ref().expect("grouped solve");
+            assert_eq!(junction(body).to_bits(), alone(job).to_bits());
+        }
+        assert_ne!(
+            junction(results[0].as_ref().unwrap()).to_bits(),
+            junction(results[1].as_ref().unwrap()).to_bits(),
+            "the budgets build different operators"
+        );
+        assert_eq!(metrics.batch_groups_total.get(), 0, "not one group");
+        assert_eq!(metrics.stack_cache_misses.get(), 2);
+    }
+
+    #[test]
+    fn flow_between_two_solves_keeps_the_operator_entry() {
+        // At a pool cap of 1, a flow run's context must not evict the
+        // solve operator's: they live in separate pools.
+        let solve = ApiJob::parse("/v1/solve", SMALL_SOLVE).unwrap().unwrap();
+        let flow = ApiJob::parse(
+            "/v1/flow",
+            br#"{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6}"#,
+        )
+        .unwrap()
+        .unwrap();
+        let pools = ServicePools::new(1);
+        let metrics = Metrics::default();
+        solve.execute(&pools, &metrics).expect("first solve");
+        flow.execute(&pools, &metrics).expect("flow");
+        let assemblies = metrics.ctx_assemblies.get();
+        let body = solve.execute(&pools, &metrics).expect("second solve");
+        assert_eq!(metrics.pool_hits.get(), 1, "the second solve hits");
+        assert_eq!(metrics.stack_cache_hits.get(), 1);
+        assert_eq!(metrics.ctx_assemblies.get(), assemblies, "no re-assembly");
+        let parsed = parse_json(&body);
+        let context = parsed.get("context").unwrap();
+        let count = |key: &str| context.get(key).and_then(Json::as_usize).unwrap();
+        assert_eq!(count("solves"), 2, "the first solve's context");
+        assert_eq!(count("assemblies"), 1);
+    }
+
     fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
         values.into_iter().map(f64::to_bits).collect()
     }
 
     #[test]
     fn group_config_with_item_utilization_builds_the_item_stack() {
-        // The stack cache holds one stack per operator, built at the
+        // The operator pool holds one stack per operator, built at the
         // first request's utilization; a request at another utilization
         // repaints it with its own power config.  That must give exactly
         // the stack the request's own config builds.
@@ -1362,10 +1435,6 @@ mod tests {
                     "{strategy}: kxy at ({i}, {j}, {k})"
                 );
             }
-            assert_eq!(
-                operator_fingerprint(&a.problem),
-                operator_fingerprint(&b.problem)
-            );
         }
     }
 

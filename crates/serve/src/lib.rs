@@ -26,14 +26,15 @@
 //!
 //! # Architecture
 //!
-//! Heavy requests flow: connection thread → [coalescing map] → bounded
-//! job queue (429 + `Retry-After` when full) → worker thread → the
-//! operator's built stack from the stack cache, then an LRU
-//! [`pool::ContextPool`] of `SolveContext`s keyed by its operator
-//! fingerprint → response fanned out to every coalesced waiter as the
-//! same bytes.  Deadlines are waiter-side only (504): an accepted job
-//! always executes, keeping the pool warm.  Shutdown closes the queue
-//! and drains it — accepted work is never dropped.
+//! Heavy requests flow: connection thread → [coalescing map, keyed by
+//! the canonical request] → bounded job queue (429 + `Retry-After` when
+//! full) → worker thread → the operator's pooled entry (built stack and
+//! `SolveContext`, one LRU [`pool::ServicePools::operators`] entry keyed
+//! by the operator's canonical string) → response fanned out to every
+//! coalesced waiter as the same bytes.  Deadlines are waiter-side only
+//! (504): an accepted job always executes, keeping the pool warm.
+//! Shutdown closes the queue and drains it — accepted work is never
+//! dropped.
 
 #![forbid(unsafe_code)]
 
@@ -54,7 +55,7 @@ pub use api::ApiJob;
 pub use http::{Limits, Request, Response};
 pub use locks::{lock_or_recover, RankedMutex};
 pub use metrics::{validate_exposition, Metrics};
-pub use pool::{ContextKey, ContextPool, LruPool, ServicePools};
+pub use pool::{LruPool, ServicePools};
 pub use queue::Priority;
 pub use ring::HashRing;
 pub use router::{Affinity, Router, RouterConfig};

@@ -74,7 +74,9 @@ pub mod rank {
     pub const JOB_TABLE: u16 = 25;
     /// `JobQueue.inner` — admission queue state.
     pub const QUEUE_INNER: u16 = 30;
-    /// `LruPool.entries` — context pool entries.
+    /// `LruPool.entries` — the entries of every service pool (operators,
+    /// contexts, transient sessions).  Held only to scan, take or put an
+    /// entry, never across a solve or another pool's lock.
     pub const POOL_ENTRIES: u16 = 40;
     /// `Slot.result` — per-request result slot.
     pub const SLOT_RESULT: u16 = 50;

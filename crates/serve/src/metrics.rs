@@ -391,27 +391,27 @@ impl Metrics {
             ),
             (
                 "tsc_context_pool_hits_total",
-                "Context-pool checkouts that found a pooled SolveContext.",
+                "Pool lookups that found a pooled SolveContext (solve operator entry or flow/pillars context).",
                 self.pool_hits.get(),
             ),
             (
                 "tsc_context_pool_misses_total",
-                "Context-pool checkouts that had to build a fresh SolveContext.",
+                "Pool lookups that had to start a fresh SolveContext (solve operator entry or flow/pillars context).",
                 self.pool_misses.get(),
             ),
             (
                 "tsc_context_pool_evictions_total",
-                "Pooled contexts evicted by the LRU cap.",
+                "Pooled operator entries and contexts evicted by the LRU cap.",
                 self.pool_evictions.get(),
             ),
             (
                 "tsc_stack_cache_hits_total",
-                "Solve requests that reused a cached built stack (mesh + problem).",
+                "Solve operator-pool lookups that reused a built stack (moves with the context-pool hits).",
                 self.stack_cache_hits.get(),
             ),
             (
                 "tsc_stack_cache_misses_total",
-                "Solve requests that had to build their stack from the design.",
+                "Solve operator-pool lookups that built the stack from the design (moves with the context-pool misses).",
                 self.stack_cache_misses.get(),
             ),
             (
@@ -491,7 +491,7 @@ impl Metrics {
             ),
             (
                 "tsc_batch_groups_total",
-                "Operator-fingerprint groups executed by the batch endpoint.",
+                "Operator groups of two or more items executed by the batch endpoint.",
                 self.batch_groups_total.get(),
             ),
             (

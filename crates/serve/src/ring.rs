@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::api::fnv1a;
+use tsc_jobs::fnv1a_bytes;
 
 /// Default virtual nodes per shard: enough that the largest shard's
 /// share stays within a few ten percent of fair for small `N`.
@@ -47,7 +47,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(backends.len() * replicas);
         for (shard, addr) in backends.iter().enumerate() {
             for replica in 0..replicas {
-                let point = mix(fnv1a(format!("{addr}#{replica}").as_bytes()));
+                let point = mix(fnv1a_bytes(format!("{addr}#{replica}").as_bytes()));
                 points.push((point, shard));
             }
         }
@@ -90,7 +90,7 @@ impl HashRing {
 /// `ceil(c · keys / healthy_shards)` with `c = 1.25`.
 ///
 /// Plain consistent hashing balances the *keyspace*, not a given key
-/// set: a dozen hot operator fingerprints routinely land 6/4/1/1 on a
+/// set: a dozen hot operator keys routinely land 6/4/1/1 on a
 /// four-shard ring, and the heavy shard's context pool thrashes while
 /// its neighbours idle.  The bounded table keeps a key on its ring-home
 /// shard when that shard is under the cap and walks the ring forward

@@ -56,8 +56,9 @@ use std::time::{Duration, Instant};
 use tsc_bench::httpc::{ClientError, HttpClient, HttpResponse};
 use tsc_bench::json::Json;
 use tsc_bench::prom::parse_exposition;
+use tsc_jobs::fnv1a_bytes;
 
-use crate::api::{fnv1a, ApiJob, TransientRequest, MAX_BATCH_ITEMS};
+use crate::api::{ApiJob, TransientRequest, MAX_BATCH_ITEMS};
 use crate::http::{Limits, Request, Response};
 use crate::locks::{rank, RankedMutex};
 use crate::metrics::{Counter, Gauge};
@@ -1054,7 +1055,7 @@ fn job_id_from_path(path: &str) -> Option<u64> {
 /// then record the admitted id in the sticky map so every follow-up
 /// finds the owning shard without a broadcast.
 fn route_job_submit(request: &Request, shared: &Arc<RouterShared>) -> Response {
-    let key = fnv1a(&request.body);
+    let key = fnv1a_bytes(&request.body);
     let headers = forwarded_headers(request);
     let budget = shared.config.retry_budget.max(1);
     let mut exclude: Option<usize> = None;
@@ -1260,7 +1261,7 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
             .unwrap_or("solve");
         let key = match ApiJob::parse_item(endpoint, item) {
             Ok(job) => job.affinity_key(),
-            Err(_) => fnv1a(item.pretty().as_bytes()),
+            Err(_) => fnv1a_bytes(item.pretty().as_bytes()),
         };
         assignment.push(shared.pick_shard(RouteKey::Affinity(key), None));
     }
@@ -1419,7 +1420,10 @@ fn forward_to_shard_with_retry(
                 if attempt + 1 == budget {
                     return ForwardOutcome::Upstream(response);
                 }
-                target = shared.pick_shard(RouteKey::Affinity(fnv1a(path.as_bytes())), Some(shard));
+                target = shared.pick_shard(
+                    RouteKey::Affinity(fnv1a_bytes(path.as_bytes())),
+                    Some(shard),
+                );
             }
             Ok(response) => return ForwardOutcome::Upstream(response),
             Err(ClientError::Malformed) => {
@@ -1431,7 +1435,10 @@ fn forward_to_shard_with_retry(
                 if matches!(err, ClientError::Io) {
                     shared.eject(shard);
                 }
-                target = shared.pick_shard(RouteKey::Affinity(fnv1a(path.as_bytes())), Some(shard));
+                target = shared.pick_shard(
+                    RouteKey::Affinity(fnv1a_bytes(path.as_bytes())),
+                    Some(shard),
+                );
             }
         }
     }

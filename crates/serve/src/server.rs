@@ -10,7 +10,7 @@
 //!   routes light endpoints inline, and parks heavy requests on a
 //!   coalescing slot;
 //! * `workers` **solver** threads pop jobs from a bounded queue and
-//!   execute them against the shared context pool.
+//!   execute them against the shared pools.
 //!
 //! Backpressure is explicit: a full queue answers 429 + `Retry-After`
 //! without blocking the connection thread, and a request whose deadline
@@ -128,10 +128,11 @@ impl Slot {
     }
 }
 
-/// One coalesce-owned item of a queued job: the owner's request plus the
-/// slot its waiters share.
+/// One coalesce-owned item of a queued job: the owner's request, its
+/// coalescing key ([`ApiJob::canonical_id`]) and the slot its waiters
+/// share.
 struct JobItem {
-    key: u64,
+    key: String,
     api: ApiJob,
     slot: Arc<Slot>,
 }
@@ -153,7 +154,8 @@ struct Shared {
     shutdown_flag: RankedMutex<bool>,
     shutdown_cv: Condvar,
     queue: JobQueue<Job>,
-    coalesce: RankedMutex<HashMap<u64, Arc<Slot>>>,
+    /// In-flight requests by [`ApiJob::canonical_id`].
+    coalesce: RankedMutex<HashMap<String, Arc<Slot>>>,
     pools: ServicePools,
     metrics: Metrics,
     config: ServerConfig,
@@ -633,17 +635,17 @@ fn dispatch_heavy(
         Ok(class) => class,
         Err(message) => return Response::error(400, &message),
     };
-    let key = job.coalesce_key();
+    let key = job.canonical_id();
 
     // Register-or-latch under one lock: either we find an identical
     // in-flight request and share its slot, or we insert ours *before*
     // enqueueing so no identical request can slip past.
-    let (slot, is_owner) = register_or_latch(shared, key);
+    let (slot, is_owner) = register_or_latch(shared, &key);
 
     if is_owner {
         let queued = Job::Solve {
             items: vec![JobItem {
-                key,
+                key: key.clone(),
                 api: job,
                 slot: Arc::clone(&slot),
             }],
@@ -657,7 +659,7 @@ fn dispatch_heavy(
                 // Un-register and fail the slot so latched waiters (a
                 // window exists between our insert and this failure)
                 // get the same refusal instead of hanging.
-                remove_coalesce_entry(shared, key, &slot);
+                remove_coalesce_entry(shared, &key, &slot);
                 let (status, message) = match refusal {
                     PushError::Full => {
                         shared.metrics.rejected_queue_full.inc();
@@ -709,13 +711,13 @@ fn request_deadline(request: &Request, shared: &Shared) -> Duration {
 
 /// Register-or-latch on the coalescing map: returns the slot for `key`
 /// and whether the caller became its owner (and must enqueue / fill it).
-fn register_or_latch(shared: &Shared, key: u64) -> (Arc<Slot>, bool) {
+fn register_or_latch(shared: &Shared, key: &str) -> (Arc<Slot>, bool) {
     let mut coalesce = shared.coalesce.lock();
-    match coalesce.get(&key) {
+    match coalesce.get(key) {
         Some(slot) => (Arc::clone(slot), false),
         None => {
             let slot = Slot::new();
-            coalesce.insert(key, Arc::clone(&slot));
+            coalesce.insert(key.to_string(), Arc::clone(&slot));
             (slot, true)
         }
     }
@@ -755,13 +757,13 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
     // the batch latch onto the first occurrence's slot, and a batch item
     // identical to an in-flight /v1/solve shares that solve's result.
     let mut states: Vec<BatchItem> = Vec::with_capacity(batch.items.len());
-    let mut owned: Vec<(u64, ApiJob, Arc<Slot>)> = Vec::new();
+    let mut owned: Vec<(String, ApiJob, Arc<Slot>)> = Vec::new();
     for item in batch.items {
         match item {
             Err(message) => states.push(BatchItem::Invalid(message)),
             Ok(job) => {
-                let key = job.coalesce_key();
-                let (slot, is_owner) = register_or_latch(shared, key);
+                let key = job.canonical_id();
+                let (slot, is_owner) = register_or_latch(shared, &key);
                 if is_owner {
                     owned.push((key, job, Arc::clone(&slot)));
                     states.push(BatchItem::Owned { slot });
@@ -773,12 +775,12 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
         }
     }
 
-    // Phase 2: group owned items by operator affinity, preserving batch
+    // Phase 2: group owned items by operator identity, preserving batch
     // order within each group (the first item of a group pays the stack
     // build; the rest are repowered warm solves).
-    let mut groups: Vec<(u64, Vec<JobItem>)> = Vec::new();
+    let mut groups: Vec<(String, Vec<JobItem>)> = Vec::new();
     for (key, job, slot) in owned {
-        let affinity = job.affinity_key();
+        let affinity = job.affinity_id();
         let item = JobItem {
             key,
             api: job,
@@ -795,9 +797,9 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
     // the refusal is filled into the group's slots, so every item still
     // reports a status in phase 4.
     for (_, items) in groups {
-        let members: Vec<(u64, Arc<Slot>)> = items
+        let members: Vec<(String, Arc<Slot>)> = items
             .iter()
-            .map(|item| (item.key, Arc::clone(&item.slot)))
+            .map(|item| (item.key.clone(), Arc::clone(&item.slot)))
             .collect();
         match shared.queue.try_push(Job::Solve { items }, class) {
             Ok(()) => {
@@ -814,7 +816,7 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
                     PushError::Closed => (503, "server shutting down"),
                 };
                 for (key, slot) in members {
-                    remove_coalesce_entry(shared, key, &slot);
+                    remove_coalesce_entry(shared, &key, &slot);
                     slot.fill(status, error_body(message));
                 }
             }
@@ -885,13 +887,13 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
     Response::json(200, envelope.pretty())
 }
 
-fn remove_coalesce_entry(shared: &Shared, key: u64, slot: &Arc<Slot>) {
+fn remove_coalesce_entry(shared: &Shared, key: &str, slot: &Arc<Slot>) {
     let mut coalesce = shared.coalesce.lock();
     // Only remove the entry if it is still *our* slot — a later identical
     // request may have re-registered after a worker finished ours.
-    if let Some(current) = coalesce.get(&key) {
+    if let Some(current) = coalesce.get(key) {
         if Arc::ptr_eq(current, slot) {
-            coalesce.remove(&key);
+            coalesce.remove(key);
         }
     }
 }
@@ -932,7 +934,7 @@ fn run_solve_group(shared: &Arc<Shared>, items: &[JobItem]) {
         // new identical requests must start a fresh solve (their
         // inputs may race a pool eviction, but correctness never
         // depends on reuse).
-        remove_coalesce_entry(shared, item.key, &item.slot);
+        remove_coalesce_entry(shared, &item.key, &item.slot);
         match result {
             Ok(body) => item.slot.fill(200, body),
             Err((status, message)) => item.slot.fill(status, error_body(&message)),

@@ -34,7 +34,7 @@ use tsc_bench::json::Json;
 use tsc_thermal::transient::{RunawayDetector, StepHalt, StepLimits};
 use tsc_units::Temperature;
 
-use crate::api::{fnv1a, TransientRequest};
+use crate::api::TransientRequest;
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::pool::ServicePools;
@@ -107,8 +107,7 @@ impl SessionHost<'_> {
         // Check out (or build) the pooled scheme and pin it: from here on
         // the state flows back to the pool on every exit path.
         let pool_id = req.session_pool_id();
-        let hash = fnv1a(pool_id.as_bytes());
-        let (state, pooled) = match self.pools.transients.take(hash, &pool_id) {
+        let (state, pooled) = match self.pools.transients.take(&pool_id) {
             Some(mut state) => match req.reuse_state(&mut state) {
                 Ok(()) => (state, "hit"),
                 Err((status, message)) => {
@@ -124,7 +123,7 @@ impl SessionHost<'_> {
                 }
             },
         };
-        let mut state = self.pools.transients.pin(hash, pool_id, state);
+        let mut state = self.pools.transients.pin(pool_id, state);
 
         self.metrics.record_request("transient", 200);
         self.metrics.transient_sessions_total.inc();

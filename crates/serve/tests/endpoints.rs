@@ -161,9 +161,10 @@ fn utilization_sweep_projects_from_the_third_request() {
 
 #[test]
 fn utilization_sweep_over_one_operator_builds_one_stack() {
-    // The stack cache keys on the operator, not the body: the first
-    // request builds the stack, every later one repaints its power.  The
-    // answers must still be those of a stack built for each body.
+    // The operator pool keys on the operator, not the body: the first
+    // request builds the stack and its context, every later one finds
+    // both in one entry and repaints its power.  The answers must still
+    // be those of a stack built for each body.
     use tsc_core::beol::BeolProperties;
     use tsc_core::pillars::uniform_routable_map;
     use tsc_core::stack::{self, StackConfig};
@@ -207,11 +208,11 @@ fn utilization_sweep_over_one_operator_builds_one_stack() {
         );
     }
     let metrics = server.metrics();
+    let repeats = utilizations.len() as u64 - 1;
     assert_eq!(metrics.stack_cache_misses.get(), 1);
-    assert_eq!(
-        metrics.stack_cache_hits.get(),
-        utilizations.len() as u64 - 1
-    );
+    assert_eq!(metrics.stack_cache_hits.get(), repeats);
+    assert_eq!(metrics.pool_misses.get(), 1);
+    assert_eq!(metrics.pool_hits.get(), repeats);
     assert_eq!(metrics.ctx_assemblies.get(), 1);
     server.shutdown();
 }

@@ -80,7 +80,7 @@ use crate::heatsink::Heatsink;
 
 /// Snapshot of every [`Problem`] input the assembled operator depends
 /// on; the cached operator is valid exactly while these match.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct OperatorKey {
     dim: Dim3,
     dx: Length,
@@ -124,115 +124,6 @@ impl OperatorKey {
             && self.top_ambient.as_deref() == p.top_ambient_map().map(|m| m.as_slice())
             && self.kz.as_slice() == p.kz_flat()
             && self.kxy.as_slice() == p.kxy_flat()
-    }
-}
-
-/// A 64-bit fingerprint of every [`Problem`] input the assembled
-/// operator depends on — exactly the fields of the [`SolveContext`]
-/// invalidation snapshot (mesh dimensions, cell pitches, layer
-/// thicknesses, heatsinks, per-column ambient maps, both conductivity
-/// grids). Two problems with equal fingerprints *usually* share
-/// operator geometry, so the fingerprint is the natural **routing hint**
-/// for pooling [`SolveContext`]s across repeated solves. It is a hash,
-/// not an identity: a colliding pair of distinct operators would alias
-/// under the bare `u64`, so any cache keyed on it must store the full
-/// [`OperatorSignature`] beside each entry and compare it on every hit
-/// (a mismatch is a miss). The context itself always re-validates
-/// against the full snapshot before reusing anything.
-///
-/// The power map deliberately does **not** contribute: power-only
-/// deltas are the cheap path the cache exists for.
-#[must_use]
-pub fn operator_fingerprint(p: &Problem) -> u64 {
-    // A word hash over the raw bit patterns: deterministic across
-    // platforms and runs (unlike `DefaultHasher`, which is randomly
-    // seeded). The value is an in-memory pool key, never persisted.
-    let mut h = Fnv::new();
-    let dim = p.dim();
-    h.write_usize(dim.nx);
-    h.write_usize(dim.ny);
-    h.write_usize(dim.nz);
-    h.write_f64(p.dx().meters());
-    h.write_f64(p.dy().meters());
-    for dz in p.dz() {
-        h.write_f64(dz.meters());
-    }
-    for hs in [p.bottom_heatsink(), p.top_heatsink()] {
-        match hs {
-            Some(hs) => {
-                h.write_f64(hs.h.get());
-                h.write_f64(hs.ambient.kelvin());
-            }
-            None => h.write_u64(0xA5A5_A5A5),
-        }
-    }
-    for map in [p.bottom_ambient_map(), p.top_ambient_map()] {
-        match map {
-            Some(map) => {
-                for &t in map.as_slice() {
-                    h.write_f64(t);
-                }
-            }
-            None => h.write_u64(0x5A5A_5A5A),
-        }
-    }
-    for &k in p.kz_flat() {
-        h.write_f64(k);
-    }
-    for &k in p.kxy_flat() {
-        h.write_f64(k);
-    }
-    h.finish()
-}
-
-/// The full operator-identity snapshot behind [`operator_fingerprint`],
-/// as an opaque comparable value. Caches that route on the 64-bit
-/// fingerprint store one of these beside each entry and equality-check
-/// it on every hit, so a fingerprint collision degrades to a cache miss
-/// instead of silently reusing another stack's operator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OperatorSignature(OperatorKey);
-
-impl OperatorSignature {
-    /// Snapshots the operator identity of `p`.
-    #[must_use]
-    pub fn of(p: &Problem) -> Self {
-        Self(OperatorKey::snapshot(p))
-    }
-
-    /// Allocation-free check that `p` still has this operator identity.
-    #[must_use]
-    pub fn matches(&self, p: &Problem) -> bool {
-        self.0.matches(p)
-    }
-}
-
-/// FNV-style word hash: one `(h ^ w)·prime` step per 64-bit word, then
-/// the splitmix64 finalizer. A step is a bijection of the state for a
-/// fixed word, so two inputs that differ in a single word always hash
-/// apart; the finalizer spreads every input bit over the output, which
-/// the word steps alone leave in the high bits only. A word per step is
-/// eight times fewer dependent multiplies than a byte per step.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-    fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -732,47 +623,55 @@ mod tests {
         assert!(sol.temperatures.iter_kelvin().all(f64::is_finite));
     }
 
+    /// Whether solving `changed` right after the base [`problem`] makes
+    /// a context re-assemble its operator.
+    fn reassembles(changed: &Problem) -> bool {
+        let solver = mg_solver();
+        let mut ctx = SolveContext::new();
+        ctx.solve(&problem(), &solver).expect("base");
+        ctx.solve(changed, &solver).expect("changed");
+        ctx.stats().assemblies == 2
+    }
+
     #[test]
     fn fingerprint_tracks_exactly_the_operator_key() {
-        let p = problem();
-        let base = operator_fingerprint(&p);
-        assert_eq!(base, operator_fingerprint(&p), "deterministic");
-
-        // Power-only deltas keep the fingerprint (the reuse fast path).
+        // The context's operator key is the only operator identity a
+        // pool relies on: every operator input below must make the next
+        // solve re-assemble, while a power-only change must reuse the
+        // operator.
         let mut powered = problem();
         powered.add_power(1, 1, 7, Power::from_watts(3.0));
-        assert_eq!(base, operator_fingerprint(&powered));
+        assert!(!reassembles(&powered), "power only");
 
-        // Conductivity, heatsink, and mesh changes all move it.
-        let mut k = problem();
-        k.set_layer_conductivity(
+        let mut layer = problem();
+        layer.set_layer_conductivity(
             2,
             ThermalConductivity::new(5.0),
             ThermalConductivity::new(5.0),
         );
-        assert_ne!(base, operator_fingerprint(&k));
+        assert!(reassembles(&layer), "layer conductivity");
         let mut hs = problem();
         hs.set_top_heatsink(Heatsink::forced_air());
-        assert_ne!(base, operator_fingerprint(&hs));
-        let other = Problem::uniform_block(
+        assert!(reassembles(&hs), "heatsink");
+        // Same cell count, thinner layers.
+        let mut mesh = Problem::uniform_block(
             8,
             8,
-            9,
+            8,
             Length::from_millimeters(1.0),
             Length::from_millimeters(1.0),
-            Length::from_micrometers(80.0),
+            Length::from_micrometers(70.0),
             ThermalConductivity::new(60.0),
         );
-        assert_ne!(base, operator_fingerprint(&other));
+        mesh.set_bottom_heatsink(Heatsink::two_phase());
+        mesh.add_power(4, 4, 7, Power::from_watts(1.0));
+        assert!(reassembles(&mesh), "mesh");
     }
 
     #[test]
     fn fingerprint_sees_the_lowest_mantissa_bit_of_any_conductivity() {
-        // One `(h ^ w)·prime` step per word is weaker mixing than
-        // byte-wise FNV: guard that a one-ulp change of one conductivity
-        // anywhere in either grid still moves the fingerprint.
-        let base = operator_fingerprint(&problem());
-        assert_eq!(base, operator_fingerprint(&problem()), "equal problems");
+        // One ulp of one conductivity anywhere in either grid is a new
+        // operator.
         let dim = problem().dim();
         let cells = [
             (0, 0, 0),
@@ -786,18 +685,10 @@ mod tests {
             let mut vertical = problem();
             let (kz, kxy) = (vertical.kz_at(i, j, k), vertical.kxy_at(i, j, k));
             vertical.set_conductivity(i, j, k, ulp(kz), kxy);
-            assert_ne!(
-                base,
-                operator_fingerprint(&vertical),
-                "kz at ({i}, {j}, {k})"
-            );
+            assert!(reassembles(&vertical), "kz at ({i}, {j}, {k})");
             let mut lateral = problem();
             lateral.set_conductivity(i, j, k, kz, ulp(kxy));
-            assert_ne!(
-                base,
-                operator_fingerprint(&lateral),
-                "kxy at ({i}, {j}, {k})"
-            );
+            assert!(reassembles(&lateral), "kxy at ({i}, {j}, {k})");
         }
     }
 

@@ -87,7 +87,7 @@ pub mod transient;
 
 pub use analysis::{line_profile, render_layer_ascii, EnergyBalance};
 pub use builder::{SlabSpec, StackMeshBuilder};
-pub use context::{operator_fingerprint, ContextStats, OperatorSignature, SolveContext};
+pub use context::{ContextStats, SolveContext};
 pub use field::TemperatureField;
 pub use heatsink::Heatsink;
 pub use problem::Problem;

@@ -353,10 +353,9 @@ impl Problem {
 
     /// Zeroes every cell's injected power while leaving geometry,
     /// conductivity and boundary conditions untouched.  The operator
-    /// identity ([`crate::operator_fingerprint`] deliberately excludes
-    /// power) is preserved, so a repowered problem re-solved through a
-    /// [`crate::SolveContext`] is a pure power-delta: operator and
-    /// hierarchy reuse plus a warm start.
+    /// (which power never enters) is preserved, so a repowered problem
+    /// re-solved through a [`crate::SolveContext`] is a pure power-delta:
+    /// operator and hierarchy reuse plus a warm start.
     pub fn clear_power(&mut self) {
         for p in self.power.as_mut_slice() {
             *p = 0.0;
