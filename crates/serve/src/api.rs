@@ -487,13 +487,7 @@ impl ApiJob {
             "/v1/pillars" => "pillars",
             _ => return None,
         };
-        let parsed = (|| {
-            let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-            let json =
-                tsc_bench::json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))?;
-            ApiJob::parse_item(endpoint, &json)
-        })();
-        Some(parsed)
+        Some(decode_json(body).and_then(|json| ApiJob::parse_item(endpoint, &json)))
     }
 
     /// Parse one already-decoded JSON object for an endpoint name —
@@ -616,6 +610,17 @@ impl ApiJob {
     }
 }
 
+/// Decode a request body as JSON: the one place the two 400 texts for a
+/// body that is not UTF-8 or not JSON are written.
+///
+/// # Errors
+///
+/// The message for a 400.
+pub fn decode_json(body: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    tsc_bench::json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
+}
+
 /// Largest number of items one `POST /v1/batch` envelope may carry.
 pub const MAX_BATCH_ITEMS: usize = 256;
 
@@ -636,9 +641,23 @@ impl BatchRequest {
     ///
     /// Envelope-level validation message, for a 400.
     pub fn parse(body: &[u8]) -> Result<BatchRequest, String> {
-        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-        let json = tsc_bench::json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))?;
-        let items = json
+        let json = decode_json(body)?;
+        let items = BatchRequest::envelope_items(&json)?
+            .iter()
+            .map(BatchRequest::parse_item)
+            .collect();
+        Ok(BatchRequest { items })
+    }
+
+    /// Check the envelope and return its raw items.  The shard router
+    /// splits envelopes through this same check, so both refuse a bad
+    /// envelope with the same 400.
+    ///
+    /// # Errors
+    ///
+    /// Envelope-level validation message, for a 400.
+    pub fn envelope_items(envelope: &Json) -> Result<&[Json], String> {
+        let items = envelope
             .get("items")
             .ok_or_else(|| "missing required field \"items\"".to_string())?
             .as_array()
@@ -652,14 +671,18 @@ impl BatchRequest {
                 items.len()
             ));
         }
-        let items = items
-            .iter()
-            .map(|item| {
-                let endpoint = str_field(item, "endpoint", "solve")?;
-                ApiJob::parse_item(endpoint, item)
-            })
-            .collect();
-        Ok(BatchRequest { items })
+        Ok(items)
+    }
+
+    /// Parse one envelope item for the endpoint its optional `"endpoint"`
+    /// field names.
+    ///
+    /// # Errors
+    ///
+    /// The item's validation message, for its per-item 400.
+    pub fn parse_item(item: &Json) -> Result<ApiJob, String> {
+        let endpoint = str_field(item, "endpoint", "solve")?;
+        ApiJob::parse_item(endpoint, item)
     }
 }
 

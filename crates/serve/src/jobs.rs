@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use tsc_bench::json::Json;
 use tsc_jobs::{JobSpec, JobTable, SubmitError, TableConfig};
 
+use crate::api::decode_json;
 use crate::http::{Request, Response};
 use crate::locks::{rank, RankedMutex};
 use crate::metrics::Metrics;
@@ -114,15 +115,7 @@ fn parse_path(path: &str) -> Option<(u64, &str)> {
 
 /// `POST /v1/jobs` — parse, validate, and admit a job spec.
 pub(crate) fn submit(host: &JobsHost, metrics: &Metrics, request: &Request) -> Response {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let body = match tsc_bench::json::parse(text) {
-        Ok(json) => json,
-        Err(e) => return Response::error(400, &format!("invalid JSON body: {e}")),
-    };
-    let spec = match JobSpec::parse(&body) {
+    let spec = match decode_json(&request.body).and_then(|body| JobSpec::parse(&body)) {
         Ok(spec) => spec,
         Err(message) => return Response::error(400, &message),
     };

@@ -13,21 +13,11 @@
 use std::collections::{HashMap, VecDeque};
 
 use tsc_jobs::fnv1a_bytes;
+use tsc_rng::finalize;
 
 /// Default virtual nodes per shard: enough that the largest shard's
 /// share stays within a few ten percent of fair for small `N`.
 pub const DEFAULT_REPLICAS: usize = 64;
-
-/// SplitMix64 finalizer over the FNV point.  FNV-1a on the short,
-/// near-identical `"{addr}#{replica}"` strings concentrates its entropy
-/// in the low bits, which clusters raw points on the ring (one shard
-/// was measured owning ~60 % of a 4-shard keyspace); the finalizer's
-/// avalanche spreads them uniformly.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// An immutable consistent-hash ring over shard indices `0..n`.
 #[derive(Debug, Clone)]
@@ -47,7 +37,12 @@ impl HashRing {
         let mut points = Vec::with_capacity(backends.len() * replicas);
         for (shard, addr) in backends.iter().enumerate() {
             for replica in 0..replicas {
-                let point = mix(fnv1a_bytes(format!("{addr}#{replica}").as_bytes()));
+                // FNV-1a on the short, near-identical strings concentrates
+                // its entropy in the low bits, which clusters raw points on
+                // the ring (one shard was measured owning ~60 % of a
+                // 4-shard keyspace); the SplitMix64 finalizer's avalanche
+                // spreads them uniformly.
+                let point = finalize(fnv1a_bytes(format!("{addr}#{replica}").as_bytes()));
                 points.push((point, shard));
             }
         }

@@ -12,9 +12,11 @@
 //!   already over its fair share of distinct hot keys walks forward to
 //!   the next under-loaded shard and sticks there, so a handful of hot
 //!   designs cannot pile onto one shard while its neighbours idle.
-//! * `/v1/batch` — the envelope is split into per-shard sub-batches by
-//!   item affinity and the per-item results are merged back in envelope
-//!   order; a dead shard fails only its own items.
+//! * `/v1/batch` — the envelope is checked by the shard's own envelope
+//!   check, split into per-shard sub-batches by item affinity, and the
+//!   per-item results are merged back in envelope order; a sub-batch
+//!   whose shard fails retries from its first item's affinity key, and
+//!   a shard that stays dead fails only its own items.
 //! * `/v1/jobs` — submission routes by a hash of the spec body and the
 //!   202 response's job id is recorded in a sticky id → shard map;
 //!   status/cancel/checkpoint forward to the owning shard (with a
@@ -40,6 +42,13 @@
 //! parked connections.  The tunnels and the health prober dial their own
 //! connections.
 //!
+//! Every forwarded request runs through one attempt loop, [`forward`],
+//! which owns the retry budget, the backoff, the router counters and the
+//! failure handling; routes differ only in the [`RouteKey`] that says
+//! where each attempt goes (affinity, any healthy shard, a job's owner,
+//! or a sub-batch's grouped shard).  Transient sessions and job event
+//! streams share one byte [`tunnel`].
+//!
 //! Degradation is typed, never hung: exhausted retries and an empty
 //! ring answer 503 + `Retry-After`; a backend that responds with bytes
 //! that do not parse as HTTP answers 502 and is never retried (the
@@ -48,7 +57,7 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -58,12 +67,12 @@ use tsc_bench::json::Json;
 use tsc_bench::prom::parse_exposition;
 use tsc_jobs::fnv1a_bytes;
 
-use crate::api::{ApiJob, TransientRequest, MAX_BATCH_ITEMS};
+use crate::api::{decode_json, ApiJob, BatchRequest, TransientRequest};
 use crate::http::{Limits, Request, Response};
 use crate::locks::{rank, RankedMutex};
 use crate::metrics::{Counter, Gauge};
 use crate::ring::{BoundedTable, DEFAULT_EXPANSION, DEFAULT_TABLE_CAPACITY};
-use crate::server::{drive_connection, ConnectionHandler};
+use crate::server::{drive_connection, ConnectionHandler, Jitter};
 
 /// How a request picks its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +298,8 @@ struct RouterShared {
     healthy: Vec<AtomicBool>,
     metrics: RouterMetrics,
     addr: SocketAddr,
-    jitter_state: AtomicU64,
+    /// Backoff jitter and the uniform pick of the `Random` policy.
+    jitter: Jitter,
 }
 
 /// Most job ids the router remembers shard affinity for.  Shards evict
@@ -347,14 +357,23 @@ impl UpstreamPool {
     }
 }
 
-/// How a request selects its shard.
+/// Where a request's attempts go: [`RouterShared::pick_shard`] reads it
+/// for the first attempt and for every retry of [`forward`].
 #[derive(Debug, Clone, Copy)]
 enum RouteKey {
-    /// Operator-affinity key: bounded-load consistent hashing.
+    /// Operator-affinity key: bounded-load consistent hashing, then a
+    /// ring walk from the key past the shard that failed.
     Affinity(u64),
     /// Any healthy shard (static content) — never touches the sticky
     /// table, so per-request spreading cannot pollute it.
     AnyHealthy,
+    /// The shard holding a job's state.  No other shard can answer for
+    /// the job, so every attempt goes there, and none once it is ejected.
+    Owner(usize),
+    /// A `/v1/batch` sub-batch: first the shard its items were grouped
+    /// on, then a ring walk from its first item's affinity key past the
+    /// shard that failed.
+    SubBatch { shard: usize, key: u64 },
 }
 
 impl RouterShared {
@@ -385,19 +404,10 @@ impl RouterShared {
         }
     }
 
-    fn jitter_unit(&self) -> f64 {
-        let mut z = self
-            .jitter_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Pick the shard for `key` under the configured affinity policy,
-    /// optionally excluding a shard that just failed.
+    /// optionally excluding a shard that just failed.  A job's owner is
+    /// the pick while it is healthy, whatever failed before; a
+    /// sub-batch's first attempt goes to the shard it was grouped on.
     ///
     /// First placements go through the bounded-load table and stick;
     /// retry picks (`exclude` set) are a *transient* ring walk that
@@ -405,8 +415,10 @@ impl RouterShared {
     /// permanently migrate the key and strand its warm contexts.
     fn pick_shard(&self, key: RouteKey, exclude: Option<usize>) -> Option<usize> {
         let healthy = |shard: usize| self.is_healthy(shard) && Some(shard) != exclude;
-        let affinity_key = match (key, self.config.affinity) {
-            (RouteKey::Affinity(k), Affinity::Hash) => k,
+        let affinity_key = match (key, exclude, self.config.affinity) {
+            (RouteKey::Owner(shard), _, _) => return self.is_healthy(shard).then_some(shard),
+            (RouteKey::SubBatch { shard, .. }, None, _) => return Some(shard),
+            (RouteKey::Affinity(k) | RouteKey::SubBatch { key: k, .. }, _, Affinity::Hash) => k,
             _ => return self.pick_uniform(&healthy),
         };
         if exclude.is_some() {
@@ -429,7 +441,7 @@ impl RouterShared {
         if candidates.is_empty() {
             None
         } else {
-            let i = (self.jitter_unit() * candidates.len() as f64) as usize;
+            let i = (self.jitter.unit() * candidates.len() as f64) as usize;
             Some(candidates[i.min(candidates.len() - 1)])
         }
     }
@@ -528,19 +540,16 @@ fn upstream_request(
     pool.settle(client, outcome)
 }
 
-/// The outcome of a routed upstream request.
-enum ForwardOutcome {
-    /// A backend answered (any status — 4xx/5xx pass through).
-    Upstream(HttpResponse),
-    /// Retries exhausted or no healthy backend: typed 503.
-    Unavailable,
-    /// A backend produced bytes that do not parse as HTTP: typed 502.
-    BadGateway,
-}
-
-/// Forward one request to the shard owning `key`, retrying transport
-/// failures and retryable 5xx on other shards within the retry budget,
-/// with jittered exponential backoff between attempts.
+/// Send one request where `key` places it and retry, within the retry
+/// budget and after a jittered exponential backoff, on the shard `key`
+/// picks next.  This is the router's one attempt loop: a retryable 5xx
+/// moves on (the last attempt passes it through), malformed HTTP is a 502
+/// and never replayed, a transport failure ejects the shard and moves on,
+/// and a timeout moves on without ejecting.
+///
+/// `Ok` is the answering shard and its response (any status passes
+/// through); `Err` is the router's own typed answer — a 502, or a 503 +
+/// `Retry-After` once shards or budget run out.
 fn forward(
     shared: &RouterShared,
     key: RouteKey,
@@ -548,21 +557,20 @@ fn forward(
     path: &str,
     headers: &[(&str, &str)],
     body: &[u8],
-) -> ForwardOutcome {
+) -> Result<(usize, HttpResponse), Response> {
     let budget = shared.config.retry_budget.max(1);
     let mut exclude: Option<usize> = None;
     for attempt in 0..budget {
         let Some(shard) = shared.pick_shard(key, exclude) else {
             // Nothing healthy (or only the excluded failure remains).
-            shared.metrics.no_backend_total.inc();
-            return ForwardOutcome::Unavailable;
+            break;
         };
         if attempt > 0 {
             shared.metrics.retries_total.inc();
             // 25ms, 50ms, 100ms... ±50% jitter, capped well below any
             // sane request deadline.
             let base = 25u64.saturating_mul(1 << (attempt - 1).min(4));
-            let jittered = (base as f64 * (0.5 + shared.jitter_unit())).round() as u64;
+            let jittered = (base as f64 * (0.5 + shared.jitter.unit())).round() as u64;
             thread::sleep(Duration::from_millis(jittered.clamp(5, 400)));
         }
         match upstream_request(
@@ -574,21 +582,18 @@ fn forward(
             body,
             shared.config.upstream_deadline,
         ) {
-            Ok(response) if retryable_status(response.status) => {
+            Ok(response) if retryable_status(response.status) && attempt + 1 < budget => {
                 // The backend is alive but refusing (shutting down,
-                // internal error): try another shard for this request,
-                // but leave health to the prober.
+                // internal error): try again where `key` says, but leave
+                // health to the prober.
                 exclude = Some(shard);
-                if attempt + 1 == budget {
-                    return ForwardOutcome::Upstream(response);
-                }
             }
-            Ok(response) => return ForwardOutcome::Upstream(response),
+            Ok(response) => return Ok((shard, response)),
             Err(ClientError::Malformed) => {
                 // The backend spoke, but not HTTP.  The request may have
                 // executed — never replay it.
                 shared.metrics.bad_gateway_total.inc();
-                return ForwardOutcome::BadGateway;
+                return Err(bad_gateway_response());
             }
             Err(ClientError::Io) => {
                 // Connect/read failure: the shard is gone; eject it now
@@ -606,7 +611,7 @@ fn forward(
         }
     }
     shared.metrics.no_backend_total.inc();
-    ForwardOutcome::Unavailable
+    Err(unavailable_response())
 }
 
 /// 5xx statuses worth retrying on another shard.  504 passes through:
@@ -616,9 +621,13 @@ fn retryable_status(status: u16) -> bool {
     matches!(status, 500 | 502 | 503)
 }
 
-/// Convert an upstream response to a client response, preserving the
-/// backpressure headers.
-fn passthrough(upstream: &HttpResponse) -> Response {
+/// The client's answer to a [`forward`]: the shard's response with its
+/// backpressure headers, or the router's own typed refusal.
+fn respond(outcome: Result<(usize, HttpResponse), Response>) -> Response {
+    let upstream = match outcome {
+        Ok((_, upstream)) => upstream,
+        Err(refusal) => return refusal,
+    };
     let mut response = Response::json(upstream.status, upstream.body_string());
     if let Some(secs) = upstream
         .header("retry-after")
@@ -707,7 +716,7 @@ impl Router {
             healthy,
             metrics: RouterMetrics::default(),
             addr,
-            jitter_state: AtomicU64::new(
+            jitter: Jitter::new(
                 u64::from(std::process::id()) ^ (u64::from(addr.port()) << 32) ^ 0x0707,
             ),
             config,
@@ -823,19 +832,28 @@ impl ConnectionHandler for Arc<RouterShared> {
     }
 
     fn handle_stream(&self, request: &Request, stream: &mut TcpStream, leftover: &[u8]) -> bool {
-        if request.method == "GET"
+        let (shard, tunnels) = if request.method == "GET"
             && request.path.starts_with("/v1/jobs/")
             && request.path.ends_with("/events")
         {
-            self.metrics.requests_total.inc();
-            tunnel_job_events(self, request, stream);
-            return true;
-        }
-        if request.method != "POST" || request.path != "/v1/transient" {
+            let owner = job_id_from_path(&request.path).and_then(|id| self.job_owner(id));
+            (
+                owner.ok_or_else(|| Response::error(404, "no such job")),
+                &self.metrics.job_event_tunnels_total,
+            )
+        } else if request.method == "POST" && request.path == "/v1/transient" {
+            (
+                session_shard(self, request),
+                &self.metrics.transient_tunnels_total,
+            )
+        } else {
             return false;
-        }
+        };
         self.metrics.requests_total.inc();
-        tunnel_transient(self, request, stream, leftover);
+        match shard {
+            Ok(shard) => tunnel(self, shard, request, stream, leftover, tunnels),
+            Err(refusal) => refuse(stream, refusal),
+        }
         true
     }
 
@@ -864,14 +882,14 @@ fn route_router(request: &Request, shared: &Arc<RouterShared>) -> Response {
             }
         }
         ("GET", "/metrics") => aggregate_metrics(shared),
-        ("GET", "/v1/designs") => {
-            // Any healthy shard serves the static registry.
-            match forward(shared, RouteKey::AnyHealthy, "GET", "/v1/designs", &[], b"") {
-                ForwardOutcome::Upstream(upstream) => passthrough(&upstream),
-                ForwardOutcome::Unavailable => unavailable_response(),
-                ForwardOutcome::BadGateway => bad_gateway_response(),
-            }
-        }
+        ("GET", "/v1/designs") => respond(forward(
+            shared,
+            RouteKey::AnyHealthy,
+            "GET",
+            "/v1/designs",
+            &[],
+            b"",
+        )),
         ("POST", "/v1/shutdown") => {
             if !shared.config.allow_shutdown {
                 return Response::error(404, "shutdown disabled");
@@ -898,18 +916,14 @@ fn route_router(request: &Request, shared: &Arc<RouterShared>) -> Response {
                 None => return Response::error(404, "no such endpoint"),
             };
             let headers = forwarded_headers(request);
-            match forward(
+            respond(forward(
                 shared,
                 RouteKey::Affinity(key),
                 "POST",
                 &request.path,
                 &as_header_refs(&headers),
                 &request.body,
-            ) {
-                ForwardOutcome::Upstream(upstream) => passthrough(&upstream),
-                ForwardOutcome::Unavailable => unavailable_response(),
-                ForwardOutcome::BadGateway => bad_gateway_response(),
-            }
+            ))
         }
         ("POST", "/v1/batch") => route_batch(request, shared),
         ("POST", "/v1/jobs") => route_job_submit(request, shared),
@@ -923,41 +937,40 @@ fn route_router(request: &Request, shared: &Arc<RouterShared>) -> Response {
     }
 }
 
-/// Tunnel a transient session to its sticky shard: sessions ride the
-/// same operator-affinity placement as the solves for their geometry, so
-/// they land where the warm contexts already live.  After re-sending the
-/// opening request, the router degrades to a byte pump — the NDJSON
-/// protocol flows through untouched in both directions until either side
-/// closes.  Sessions are never retried: a mid-session replay would
-/// silently restart the trajectory.
-fn tunnel_transient(
-    shared: &Arc<RouterShared>,
+/// The sticky shard of a transient session: sessions ride the same
+/// operator-affinity placement as the solves for their geometry, so they
+/// land where the warm contexts already live.
+fn session_shard(shared: &RouterShared, request: &Request) -> Result<usize, Response> {
+    let req = decode_json(&request.body)
+        .and_then(|json| TransientRequest::parse(&json))
+        .map_err(|message| Response::error(400, &message))?;
+    shared
+        .pick_shard(RouteKey::Affinity(req.affinity_key()), None)
+        .ok_or_else(|| {
+            shared.metrics.no_backend_total.inc();
+            unavailable_response()
+        })
+}
+
+/// Answer a connection the router was about to tunnel, and close it.
+fn refuse(client: &mut TcpStream, response: Response) {
+    let _ = client.write_all(&response.with_close().to_bytes());
+}
+
+/// Tunnel a streamed request (a transient session, a job's `/events`) to
+/// `shard`: re-send the request head, body and any bytes the client
+/// pipelined behind it, then degrade to a byte pump in both directions
+/// until either side closes.  Tunnels are never retried: a mid-stream
+/// replay would silently restart a trajectory.  `tunnels` counts the
+/// ones that reach their shard.
+fn tunnel(
+    shared: &RouterShared,
+    shard: usize,
     request: &Request,
     client: &mut TcpStream,
     leftover: &[u8],
+    tunnels: &Counter,
 ) {
-    let write_response = |client: &mut TcpStream, response: Response| {
-        let _ = client.write_all(&response.with_close().to_bytes());
-    };
-    let parsed = std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not UTF-8".to_string())
-        .and_then(|text| {
-            tsc_bench::json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
-        })
-        .and_then(|json| TransientRequest::parse(&json));
-    let req = match parsed {
-        Ok(req) => req,
-        Err(message) => {
-            write_response(client, Response::error(400, &message));
-            return;
-        }
-    };
-
-    let Some(shard) = shared.pick_shard(RouteKey::Affinity(req.affinity_key()), None) else {
-        shared.metrics.no_backend_total.inc();
-        write_response(client, unavailable_response());
-        return;
-    };
     let backend_addr = &shared.config.backends[shard];
     let connected = backend_addr
         .parse::<SocketAddr>()
@@ -966,7 +979,7 @@ fn tunnel_transient(
     let Some(mut backend) = connected else {
         shared.metrics.upstream_errors_total.inc();
         shared.eject(shard);
-        write_response(client, unavailable_response());
+        refuse(client, unavailable_response());
         return;
     };
     let _ = backend.set_nodelay(true);
@@ -976,12 +989,13 @@ fn tunnel_transient(
         .set_read_timeout(Some(Duration::from_millis(200)))
         .is_err()
     {
-        write_response(client, unavailable_response());
+        refuse(client, unavailable_response());
         return;
     }
-
     let mut head = format!(
-        "POST /v1/transient HTTP/1.1\r\nHost: {backend_addr}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "{} {} HTTP/1.1\r\nHost: {backend_addr}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        request.method,
+        request.path,
         request.body.len()
     );
     for (name, value) in forwarded_headers(request) {
@@ -991,24 +1005,20 @@ fn tunnel_transient(
     if backend
         .write_all(head.as_bytes())
         .and_then(|()| backend.write_all(&request.body))
+        .and_then(|()| backend.write_all(leftover))
         .is_err()
     {
         shared.metrics.upstream_errors_total.inc();
         shared.eject(shard);
-        write_response(client, unavailable_response());
+        refuse(client, unavailable_response());
         return;
     }
-    shared.metrics.transient_tunnels_total.inc();
+    tunnels.inc();
 
     let (Ok(mut backend_read), Ok(mut client_write)) = (backend.try_clone(), client.try_clone())
     else {
         return;
     };
-    // Commands the client pipelined behind the opening request belong to
-    // the backend session.
-    if !leftover.is_empty() && backend.write_all(leftover).is_err() {
-        return;
-    }
     let done = AtomicBool::new(false);
     thread::scope(|scope| {
         scope.spawn(|| pump(&mut backend_read, &mut client_write, &done, shared));
@@ -1055,224 +1065,81 @@ fn job_id_from_path(path: &str) -> Option<u64> {
 /// then record the admitted id in the sticky map so every follow-up
 /// finds the owning shard without a broadcast.
 fn route_job_submit(request: &Request, shared: &Arc<RouterShared>) -> Response {
-    let key = fnv1a_bytes(&request.body);
     let headers = forwarded_headers(request);
-    let budget = shared.config.retry_budget.max(1);
-    let mut exclude: Option<usize> = None;
-    for attempt in 0..budget {
-        let Some(shard) = shared.pick_shard(RouteKey::Affinity(key), exclude) else {
-            break;
-        };
-        if attempt > 0 {
-            shared.metrics.retries_total.inc();
-            let base = 25u64.saturating_mul(1 << (attempt - 1).min(4));
-            let jittered = (base as f64 * (0.5 + shared.jitter_unit())).round() as u64;
-            thread::sleep(Duration::from_millis(jittered.clamp(5, 400)));
-        }
-        match upstream_request(
-            shared,
-            shard,
-            "POST",
-            "/v1/jobs",
-            &as_header_refs(&headers),
-            &request.body,
-            shared.config.upstream_deadline,
-        ) {
-            Ok(response) if retryable_status(response.status) => {
-                exclude = Some(shard);
-                if attempt + 1 == budget {
-                    return passthrough(&response);
-                }
-            }
-            Ok(response) => {
-                if response.status == 202 {
-                    let id = tsc_bench::json::parse(&response.body_string())
-                        .ok()
-                        .and_then(|json| {
-                            json.get("id")
-                                .and_then(Json::as_str)
-                                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                        });
-                    if let Some(id) = id {
-                        shared.remember_job(id, shard);
-                    }
-                }
-                return passthrough(&response);
-            }
-            Err(ClientError::Malformed) => {
-                shared.metrics.bad_gateway_total.inc();
-                return bad_gateway_response();
-            }
-            Err(ClientError::Io) => {
-                shared.metrics.upstream_errors_total.inc();
-                shared.eject(shard);
-                exclude = Some(shard);
-            }
-            Err(ClientError::Timeout) => {
-                shared.metrics.upstream_errors_total.inc();
-                exclude = Some(shard);
+    let outcome = forward(
+        shared,
+        RouteKey::Affinity(fnv1a_bytes(&request.body)),
+        "POST",
+        "/v1/jobs",
+        &as_header_refs(&headers),
+        &request.body,
+    );
+    if let Ok((shard, upstream)) = &outcome {
+        if upstream.status == 202 {
+            let id = tsc_bench::json::parse(&upstream.body_string())
+                .ok()
+                .and_then(|json| {
+                    json.get("id")
+                        .and_then(Json::as_str)
+                        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                });
+            if let Some(id) = id {
+                shared.remember_job(id, *shard);
             }
         }
     }
-    shared.metrics.no_backend_total.inc();
-    unavailable_response()
+    respond(outcome)
 }
 
 /// `/v1/jobs/{id}[/action]` (status, cancel, checkpoint, and wrong-verb
 /// variants): forward to the owning shard.  Job state lives on exactly
-/// one shard, so a refused response retries the *same* shard — trying a
-/// neighbour would only manufacture a misleading 404.
+/// one shard, so every attempt goes there — a neighbour would only
+/// manufacture a misleading 404.
 fn route_job_entry(request: &Request, shared: &Arc<RouterShared>) -> Response {
-    let Some(id) = job_id_from_path(&request.path) else {
-        return Response::error(404, "no such job");
-    };
-    let Some(shard) = shared.job_owner(id) else {
+    let Some(shard) = job_id_from_path(&request.path).and_then(|id| shared.job_owner(id)) else {
         return Response::error(404, "no such job");
     };
     let headers = forwarded_headers(request);
-    let budget = shared.config.retry_budget.max(1);
-    for attempt in 0..budget {
-        if attempt > 0 {
-            shared.metrics.retries_total.inc();
-            let base = 25u64.saturating_mul(1 << (attempt - 1).min(4));
-            let jittered = (base as f64 * (0.5 + shared.jitter_unit())).round() as u64;
-            thread::sleep(Duration::from_millis(jittered.clamp(5, 400)));
-        }
-        match upstream_request(
-            shared,
-            shard,
-            &request.method,
-            &request.path,
-            &as_header_refs(&headers),
-            &request.body,
-            shared.config.upstream_deadline,
-        ) {
-            Ok(response) if retryable_status(response.status) && attempt + 1 < budget => {}
-            Ok(response) => return passthrough(&response),
-            Err(ClientError::Malformed) => {
-                shared.metrics.bad_gateway_total.inc();
-                return bad_gateway_response();
-            }
-            Err(ClientError::Io) => {
-                shared.metrics.upstream_errors_total.inc();
-                shared.eject(shard);
-                shared.metrics.no_backend_total.inc();
-                return unavailable_response();
-            }
-            Err(ClientError::Timeout) => {
-                shared.metrics.upstream_errors_total.inc();
-            }
-        }
-    }
-    shared.metrics.no_backend_total.inc();
-    unavailable_response()
-}
-
-/// Tunnel a `GET /v1/jobs/{id}/events` stream to the owning shard: the
-/// router re-sends the request head and degrades to a byte pump, so the
-/// NDJSON progress lines (and the shard's in-band error events) flow
-/// through untouched until the job ends or either side closes.
-fn tunnel_job_events(shared: &Arc<RouterShared>, request: &Request, client: &mut TcpStream) {
-    let write_response = |client: &mut TcpStream, response: Response| {
-        let _ = client.write_all(&response.with_close().to_bytes());
-    };
-    let Some(id) = job_id_from_path(&request.path) else {
-        write_response(client, Response::error(404, "no such job"));
-        return;
-    };
-    let Some(shard) = shared.job_owner(id) else {
-        write_response(client, Response::error(404, "no such job"));
-        return;
-    };
-    let backend_addr = &shared.config.backends[shard];
-    let connected = backend_addr
-        .parse::<SocketAddr>()
-        .ok()
-        .and_then(|addr| TcpStream::connect_timeout(&addr, shared.config.connect_timeout).ok());
-    let Some(mut backend) = connected else {
-        shared.metrics.upstream_errors_total.inc();
-        shared.eject(shard);
-        write_response(client, unavailable_response());
-        return;
-    };
-    let _ = backend.set_nodelay(true);
-    if backend
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .is_err()
-    {
-        write_response(client, unavailable_response());
-        return;
-    }
-    let mut head = format!(
-        "GET {} HTTP/1.1\r\nHost: {backend_addr}\r\nConnection: close\r\n",
-        request.path
-    );
-    for (name, value) in forwarded_headers(request) {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    if backend.write_all(head.as_bytes()).is_err() {
-        shared.metrics.upstream_errors_total.inc();
-        shared.eject(shard);
-        write_response(client, unavailable_response());
-        return;
-    }
-    shared.metrics.job_event_tunnels_total.inc();
-    let (Ok(mut backend_read), Ok(mut client_write)) = (backend.try_clone(), client.try_clone())
-    else {
-        return;
-    };
-    let done = AtomicBool::new(false);
-    thread::scope(|scope| {
-        scope.spawn(|| pump(&mut backend_read, &mut client_write, &done, shared));
-        pump(client, &mut backend, &done, shared);
-    });
+    respond(forward(
+        shared,
+        RouteKey::Owner(shard),
+        &request.method,
+        &request.path,
+        &as_header_refs(&headers),
+        &request.body,
+    ))
 }
 
 /// Split a batch envelope into per-shard sub-batches by item affinity,
 /// forward them concurrently, and merge per-item results back in
 /// envelope order.
 fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let json = match tsc_bench::json::parse(text) {
+    let json = match decode_json(&request.body) {
         Ok(json) => json,
-        Err(e) => return Response::error(400, &format!("invalid JSON body: {e}")),
+        Err(message) => return Response::error(400, &message),
     };
-    let Some(items) = json.get("items").and_then(Json::as_array) else {
-        return Response::error(400, "missing required field \"items\" (array)");
+    let items = match BatchRequest::envelope_items(&json) {
+        Ok(items) => items,
+        Err(message) => return Response::error(400, &message),
     };
-    if items.is_empty() {
-        return Response::error(400, "items must not be empty");
-    }
-    if items.len() > MAX_BATCH_ITEMS {
-        return Response::error(400, &format!("too many items (max {MAX_BATCH_ITEMS})"));
-    }
 
-    // Assign each item a shard by affinity.  An unparseable item still
-    // routes (hash of its raw text) so the owning backend reports the
-    // per-item 400 — router and single-server behaviour stay identical.
-    let mut assignment: Vec<Option<usize>> = Vec::with_capacity(items.len());
-    for item in items {
-        let endpoint = item
-            .get("endpoint")
-            .and_then(Json::as_str)
-            .unwrap_or("solve");
-        let key = match ApiJob::parse_item(endpoint, item) {
-            Ok(job) => job.affinity_key(),
-            Err(_) => fnv1a_bytes(item.pretty().as_bytes()),
+    // Place each item by affinity and group item indices per shard, in
+    // envelope order; a group retries from its first item's key.  An
+    // unparseable item still routes (hash of its raw text) so the owning
+    // backend reports the per-item 400 — router and single-server
+    // behaviour stay identical.
+    let mut groups: Vec<(usize, u64, Vec<usize>)> = Vec::new();
+    for (index, item) in items.iter().enumerate() {
+        let key = BatchRequest::parse_item(item).map_or_else(
+            |_| fnv1a_bytes(item.pretty().as_bytes()),
+            |job| job.affinity_key(),
+        );
+        let Some(shard) = shared.pick_shard(RouteKey::Affinity(key), None) else {
+            continue;
         };
-        assignment.push(shared.pick_shard(RouteKey::Affinity(key), None));
-    }
-
-    // Group item indices per shard, preserving envelope order.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (index, shard) in assignment.iter().enumerate() {
-        let Some(shard) = *shard else { continue };
-        match groups.iter_mut().find(|(s, _)| *s == shard) {
-            Some((_, indices)) => indices.push(index),
-            None => groups.push((shard, vec![index])),
+        match groups.iter_mut().find(|(s, _, _)| *s == shard) {
+            Some((_, _, indices)) => indices.push(index),
+            None => groups.push((shard, key, vec![index])),
         }
     }
 
@@ -1280,21 +1147,21 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
     let header_refs = as_header_refs(&headers);
     let mut merged: Vec<Option<Json>> = vec![None; items.len()];
 
-    let send = |(shard, indices): (usize, Vec<usize>)| {
+    let send = |(shard, key, indices): (usize, u64, Vec<usize>)| {
         let sub_items: Vec<Json> = indices.iter().map(|i| items[*i].clone()).collect();
         let body = Json::object()
             .field("items", sub_items)
             .pretty()
             .into_bytes();
         shared.metrics.batch_subbatches_total.inc();
-        let outcome =
-            forward_to_shard_with_retry(shared, shard, "POST", "/v1/batch", &header_refs, &body);
+        let route = RouteKey::SubBatch { shard, key };
+        let outcome = forward(shared, route, "POST", "/v1/batch", &header_refs, &body);
         (indices, outcome)
     };
     // Fan the sub-batches out concurrently — shards solve in parallel.
     // The first goes out on this thread, so a batch that lands on one
     // shard spawns no thread at all.
-    let outcomes: Vec<(Vec<usize>, ForwardOutcome)> = thread::scope(|scope| {
+    let outcomes: Vec<(Vec<usize>, _)> = thread::scope(|scope| {
         let mut groups = groups.into_iter();
         let first = groups.next();
         let handles: Vec<_> = groups.map(|group| scope.spawn(|| send(group))).collect();
@@ -1302,66 +1169,54 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
         outcomes.extend(handles.into_iter().map(|handle| {
             handle
                 .join()
-                .unwrap_or((Vec::new(), ForwardOutcome::Unavailable))
+                .unwrap_or_else(|_| (Vec::new(), Err(unavailable_response())))
         }));
         outcomes
     });
 
     for (indices, outcome) in outcomes {
-        match outcome {
-            ForwardOutcome::Upstream(upstream) => {
-                let body = upstream.body_string();
-                let sub_items: Vec<Json> = tsc_bench::json::parse(&body)
-                    .ok()
-                    .and_then(|j| {
-                        j.get("items")
-                            .and_then(Json::as_array)
-                            .map(<[Json]>::to_vec)
-                    })
-                    .unwrap_or_default();
-                if upstream.status != 200 || sub_items.len() != indices.len() {
-                    // The whole sub-batch was refused (e.g. shard 429) or
-                    // came back inconsistent: surface it per item.
-                    let status = if upstream.status == 200 {
-                        502
-                    } else {
-                        upstream.status
-                    };
-                    let error = tsc_bench::json::parse(&body).unwrap_or_else(|_| {
-                        Json::object().field("error", "bad sub-batch response")
-                    });
-                    for index in indices {
-                        merged[index] = Some(
-                            Json::object()
-                                .field("status", status as usize)
-                                .field("body", error.clone()),
-                        );
-                    }
-                } else {
-                    for (index, item) in indices.into_iter().zip(sub_items) {
-                        merged[index] = Some(item);
-                    }
-                }
+        let (status, body) = match outcome {
+            Ok((_, upstream)) => (upstream.status, upstream.body_string()),
+            Err(refusal) => (
+                refusal.status,
+                String::from_utf8_lossy(&refusal.body).into(),
+            ),
+        };
+        let parsed = tsc_bench::json::parse(&body).ok();
+        let sub_items = parsed
+            .as_ref()
+            .and_then(|j| j.get("items"))
+            .and_then(Json::as_array)
+            .filter(|sub_items| status == 200 && sub_items.len() == indices.len());
+        if let Some(sub_items) = sub_items {
+            for (index, item) in indices.into_iter().zip(sub_items) {
+                merged[index] = Some(item.clone());
             }
-            ForwardOutcome::Unavailable => {
-                for index in indices {
-                    merged[index] = Some(item_error(503, "no healthy backend (retries exhausted)"));
-                }
-            }
-            ForwardOutcome::BadGateway => {
-                for index in indices {
-                    merged[index] = Some(item_error(
-                        502,
-                        "bad gateway: backend returned malformed HTTP",
-                    ));
-                }
-            }
+            continue;
+        }
+        // The whole sub-batch was refused (a shard's 429, the router's
+        // own 503 or 502) or came back inconsistent: surface it per item.
+        let status = if status == 200 { 502 } else { status };
+        let error =
+            parsed.unwrap_or_else(|| Json::object().field("error", "bad sub-batch response"));
+        for index in indices {
+            merged[index] = Some(
+                Json::object()
+                    .field("status", status as usize)
+                    .field("body", error.clone()),
+            );
         }
     }
 
     let results: Vec<Json> = merged
         .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| item_error(503, "no healthy backend")))
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                Json::object()
+                    .field("status", 503usize)
+                    .field("body", Json::object().field("error", "no healthy backend"))
+            })
+        })
         .collect();
     let errors = results
         .iter()
@@ -1376,74 +1231,6 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
         .field("errors", errors)
         .field("items", results);
     Response::json(200, envelope.pretty())
-}
-
-fn item_error(status: u16, message: &str) -> Json {
-    Json::object()
-        .field("status", status as usize)
-        .field("body", Json::object().field("error", message))
-}
-
-/// Forward to a preferred shard with the same retry/backoff budget as
-/// [`forward`], falling back to other healthy shards if it dies.
-fn forward_to_shard_with_retry(
-    shared: &RouterShared,
-    preferred: usize,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> ForwardOutcome {
-    let budget = shared.config.retry_budget.max(1);
-    let mut target = Some(preferred);
-    for attempt in 0..budget {
-        let Some(shard) = target else {
-            shared.metrics.no_backend_total.inc();
-            return ForwardOutcome::Unavailable;
-        };
-        if attempt > 0 {
-            shared.metrics.retries_total.inc();
-            let base = 25u64.saturating_mul(1 << (attempt - 1).min(4));
-            let jittered = (base as f64 * (0.5 + shared.jitter_unit())).round() as u64;
-            thread::sleep(Duration::from_millis(jittered.clamp(5, 400)));
-        }
-        match upstream_request(
-            shared,
-            shard,
-            method,
-            path,
-            headers,
-            body,
-            shared.config.upstream_deadline,
-        ) {
-            Ok(response) if retryable_status(response.status) => {
-                if attempt + 1 == budget {
-                    return ForwardOutcome::Upstream(response);
-                }
-                target = shared.pick_shard(
-                    RouteKey::Affinity(fnv1a_bytes(path.as_bytes())),
-                    Some(shard),
-                );
-            }
-            Ok(response) => return ForwardOutcome::Upstream(response),
-            Err(ClientError::Malformed) => {
-                shared.metrics.bad_gateway_total.inc();
-                return ForwardOutcome::BadGateway;
-            }
-            Err(err) => {
-                shared.metrics.upstream_errors_total.inc();
-                if matches!(err, ClientError::Io) {
-                    shared.eject(shard);
-                }
-                target = shared.pick_shard(
-                    RouteKey::Affinity(fnv1a_bytes(path.as_bytes())),
-                    Some(shard),
-                );
-            }
-        }
-    }
-    shared.metrics.no_backend_total.inc();
-    ForwardOutcome::Unavailable
 }
 
 /// Fetch `/metrics` from every healthy shard, sum samples by series

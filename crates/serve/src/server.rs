@@ -7,8 +7,9 @@
 //!   connection (bounded by `max_connections`, excess answered 503);
 //! * each **connection** thread runs the bounded HTTP parser over a
 //!   growing buffer (split reads and pipelining fall out naturally),
-//!   routes light endpoints inline, and parks heavy requests on a
-//!   coalescing slot;
+//!   routes light endpoints inline, and parks heavy requests on
+//!   coalescing slots — a `/v1/batch` envelope's items and a single
+//!   request (a one-item group) pass through the same [`admit`];
 //! * `workers` **solver** threads pop jobs from a bounded queue and
 //!   execute them against the shared pools.
 //!
@@ -17,17 +18,19 @@
 //! expires while queued answers 504 — but an *accepted* job is always
 //! executed, so the pool stays warm and coalesced waiters never hang.
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::{HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use std::sync::atomic::AtomicU64;
-
+use tsc_bench::json::Json;
 use tsc_jobs::{ShardWork, TableConfig};
+use tsc_rng::{finalize, unit_f64, GAMMA};
 
 use crate::api::{self, ApiJob, BatchRequest};
 use crate::http::{parse_request, Limits, Parsed, Request, Response};
@@ -91,13 +94,40 @@ impl Default for ServerConfig {
 /// A coalescing slot: the first submitter creates it, every identical
 /// concurrent request waits on it, one worker fills it exactly once.
 struct Slot {
+    /// The [`ApiJob::canonical_id`] it is registered under.
+    key: String,
     result: RankedMutex<Option<(u16, String)>>,
     ready: Condvar,
 }
 
+/// A coalescing-map entry, hashed and compared by its slot's key: the
+/// map keeps each key once, inside the slot.
+struct Pending(Arc<Slot>);
+
+impl Borrow<str> for Pending {
+    fn borrow(&self) -> &str {
+        &self.0.key
+    }
+}
+
+impl Hash for Pending {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.key.hash(state);
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Pending) -> bool {
+        self.0.key == other.0.key
+    }
+}
+
+impl Eq for Pending {}
+
 impl Slot {
-    fn new() -> Arc<Self> {
+    fn new(key: String) -> Arc<Self> {
         Arc::new(Slot {
+            key,
             result: RankedMutex::new(None, rank::SLOT_RESULT, "Slot.result"),
             ready: Condvar::new(),
         })
@@ -128,19 +158,18 @@ impl Slot {
     }
 }
 
-/// One coalesce-owned item of a queued job: the owner's request, its
-/// coalescing key ([`ApiJob::canonical_id`]) and the slot its waiters
-/// share.
+/// One coalesce-owned item of a queued job: the owner's request and the
+/// slot its waiters share.
 struct JobItem {
-    key: String,
     api: ApiJob,
     slot: Arc<Slot>,
 }
 
 /// A queued unit of work.
 enum Job {
-    /// A request-driven solve: one item for the single-request
-    /// endpoints, an operator-affine group for `/v1/batch`.
+    /// A request-driven solve group: items on one operator (or one
+    /// flow/pillars identity), admitted together by [`admit`].  A single
+    /// `/v1/solve` is a one-item group.
     Solve { items: Vec<JobItem> },
     /// One checked-out optimization-job slice (`/v1/jobs`), enqueued by
     /// the pump at background priority.
@@ -155,7 +184,7 @@ struct Shared {
     shutdown_cv: Condvar,
     queue: JobQueue<Job>,
     /// In-flight requests by [`ApiJob::canonical_id`].
-    coalesce: RankedMutex<HashMap<String, Arc<Slot>>>,
+    coalesce: RankedMutex<HashSet<Pending>>,
     pools: ServicePools,
     metrics: Metrics,
     config: ServerConfig,
@@ -164,9 +193,29 @@ struct Shared {
     sessions: AtomicUsize,
     /// The optimization-job table and its wakeup condvar.
     jobs: JobsHost,
-    /// SplitMix64 state for retry-hint jitter — lock-free, seeded per
-    /// process so synchronized clients de-synchronize.
-    jitter_state: AtomicU64,
+    /// Retry-hint jitter.
+    jitter: Jitter,
+}
+
+/// A lock-free SplitMix64 stream of uniform draws for retry jitter,
+/// seeded per process so synchronized clients de-synchronize.  The
+/// server's 429 hints and the router's backoff and random pick draw
+/// from one each.
+pub(crate) struct Jitter(AtomicU64);
+
+impl Jitter {
+    pub(crate) fn new(seed: u64) -> Jitter {
+        Jitter(AtomicU64::new(seed))
+    }
+
+    /// A uniform draw in `[0, 1)`.
+    pub(crate) fn unit(&self) -> f64 {
+        let state = self
+            .0
+            .fetch_add(GAMMA, Ordering::Relaxed)
+            .wrapping_add(GAMMA);
+        unit_f64(finalize(state))
+    }
 }
 
 impl Shared {
@@ -176,18 +225,6 @@ impl Shared {
         *flagged = true;
         drop(flagged);
         self.shutdown_cv.notify_all();
-    }
-
-    /// A uniform draw in `[0, 1)` from the shared SplitMix64 stream.
-    fn jitter_unit(&self) -> f64 {
-        let mut z = self
-            .jitter_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Load-scaled, per-class, jittered retry hint for a 429: grows with
@@ -205,18 +242,10 @@ impl Shared {
             Priority::Background => 2_000.0,
         };
         let scaled = base_ms * (0.5 + 1.5 * fullness);
-        let jittered = scaled * (0.75 + 0.5 * self.jitter_unit());
+        let jittered = scaled * (0.75 + 0.5 * self.jitter.unit());
         let ms = (jittered.round() as u64).max(25);
         (u32::try_from(ms.div_ceil(1_000)).unwrap_or(1).max(1), ms)
     }
-}
-
-/// Attach the retry hints to a 429 response.
-fn with_retry_hints(response: Response, shared: &Shared, class: Priority) -> Response {
-    let (secs, ms) = shared.retry_hint(class);
-    response
-        .with_retry_after(secs)
-        .with_header("X-Retry-After-Ms", ms.to_string())
 }
 
 /// The admission class of a request: `X-Priority` header if present,
@@ -254,7 +283,7 @@ impl Server {
             shutdown_flag: RankedMutex::new(false, rank::SHUTDOWN, "Shared.shutdown_flag"),
             shutdown_cv: Condvar::new(),
             queue: JobQueue::new(config.queue_cap.max(1)),
-            coalesce: RankedMutex::new(HashMap::new(), rank::COALESCE, "Shared.coalesce"),
+            coalesce: RankedMutex::new(HashSet::new(), rank::COALESCE, "Shared.coalesce"),
             pools: ServicePools::new(config.pool_cap),
             metrics: Metrics::default(),
             config,
@@ -266,9 +295,7 @@ impl Server {
                     .rotate_left(17)
                     .wrapping_add(u64::from(addr.port())),
             ),
-            jitter_state: AtomicU64::new(
-                u64::from(std::process::id()) ^ (u64::from(addr.port()) << 32),
-            ),
+            jitter: Jitter::new(u64::from(std::process::id()) ^ (u64::from(addr.port()) << 32)),
         });
         shared
             .metrics
@@ -621,8 +648,8 @@ fn route_inner(request: &Request, endpoint: &'static str, shared: &Arc<Shared>) 
     }
 }
 
-/// Submit a heavy job: coalesce onto an identical in-flight request when
-/// possible, otherwise enqueue; then wait with a deadline.
+/// Submit a heavy request as a one-item group through [`admit`], then
+/// wait on its slot with a deadline.
 fn dispatch_heavy(
     request: &Request,
     job: ApiJob,
@@ -635,60 +662,21 @@ fn dispatch_heavy(
         Ok(class) => class,
         Err(message) => return Response::error(400, &message),
     };
-    let key = job.canonical_id();
-
-    // Register-or-latch under one lock: either we find an identical
-    // in-flight request and share its slot, or we insert ours *before*
-    // enqueueing so no identical request can slip past.
-    let (slot, is_owner) = register_or_latch(shared, &key);
-
-    if is_owner {
-        let queued = Job::Solve {
-            items: vec![JobItem {
-                key: key.clone(),
-                api: job,
-                slot: Arc::clone(&slot),
-            }],
-        };
-        match shared.queue.try_push(queued, class) {
-            Ok(()) => {
-                shared.metrics.class_admitted[class.index()].inc();
-                shared.metrics.queue_depth.set(shared.queue.len() as i64);
-            }
-            Err(refusal) => {
-                // Un-register and fail the slot so latched waiters (a
-                // window exists between our insert and this failure)
-                // get the same refusal instead of hanging.
-                remove_coalesce_entry(shared, &key, &slot);
-                let (status, message) = match refusal {
-                    PushError::Full => {
-                        shared.metrics.rejected_queue_full.inc();
-                        shared.metrics.class_shed[class.index()].inc();
-                        (429, "solve queue full")
-                    }
-                    PushError::Closed => (503, "server shutting down"),
-                };
-                slot.fill(status, error_body(message));
-                let mut response = Response::json(status, error_body(message));
-                if status == 429 {
-                    response = with_retry_hints(response, shared, class);
-                }
-                return response;
-            }
-        }
-    } else {
-        shared.metrics.coalesced_total.inc();
-    }
-
+    let Some(Ok(slot)) = admit(shared, vec![Ok(job)], class).pop() else {
+        unreachable!("a parsed request is admitted to a slot");
+    };
     match slot.wait(deadline) {
         Some((status, body)) => {
             let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
             shared.metrics.observe_latency_us(endpoint, us);
-            if status == 429 {
-                with_retry_hints(Response::json(429, body), shared, class)
-            } else {
-                Response::json(status, body)
+            let response = Response::json(status, body);
+            if status != 429 {
+                return response;
             }
+            let (secs, ms) = shared.retry_hint(class);
+            response
+                .with_retry_after(secs)
+                .with_header("X-Retry-After-Ms", ms.to_string())
         }
         None => {
             // Waiter-side timeout only: the job (if accepted) still runs
@@ -711,35 +699,93 @@ fn request_deadline(request: &Request, shared: &Shared) -> Duration {
 
 /// Register-or-latch on the coalescing map: returns the slot for `key`
 /// and whether the caller became its owner (and must enqueue / fill it).
-fn register_or_latch(shared: &Shared, key: &str) -> (Arc<Slot>, bool) {
+fn register_or_latch(shared: &Shared, key: String) -> (Arc<Slot>, bool) {
     let mut coalesce = shared.coalesce.lock();
-    match coalesce.get(key) {
-        Some(slot) => (Arc::clone(slot), false),
-        None => {
-            let slot = Slot::new();
-            coalesce.insert(key.to_string(), Arc::clone(&slot));
-            (slot, true)
+    if let Some(pending) = coalesce.get(key.as_str()) {
+        return (Arc::clone(&pending.0), false);
+    }
+    let slot = Slot::new(key);
+    coalesce.insert(Pending(Arc::clone(&slot)));
+    (slot, true)
+}
+
+/// The one admission path of the queued endpoints.  Each valid item
+/// registers on the coalescing map *before* anything is enqueued, so no
+/// identical request can slip past: an item identical to an in-flight
+/// request (or to an earlier item of the same batch) latches onto its
+/// slot.  The owned items are grouped by operator affinity, in item
+/// order (a group's first item pays the stack build, the rest are
+/// repowered warm solves), and each group is enqueued at `class` as one
+/// job.  A refused group fails only its own items: its slots are
+/// un-registered and filled with the 429/503 body, so latched waiters
+/// get the same refusal instead of hanging.
+///
+/// Returns, in item order, the slot each item's answer appears in, or
+/// the item's own validation message.
+fn admit(
+    shared: &Shared,
+    items: Vec<Result<ApiJob, String>>,
+    class: Priority,
+) -> Vec<Result<Arc<Slot>, String>> {
+    // Affinity strings are built only when there is a group to compare
+    // with, so a one-item group builds none.
+    let mut groups: Vec<(Option<String>, Vec<JobItem>)> = Vec::new();
+    let slots = items
+        .into_iter()
+        .map(|item| {
+            let api = item?;
+            let (slot, is_owner) = register_or_latch(shared, api.canonical_id());
+            if !is_owner {
+                shared.metrics.coalesced_total.inc();
+                return Ok(slot);
+            }
+            let mut affinity = None;
+            let group = groups.iter_mut().position(|(group_affinity, members)| {
+                let group_affinity =
+                    group_affinity.get_or_insert_with(|| members[0].api.affinity_id());
+                *group_affinity == *affinity.get_or_insert_with(|| api.affinity_id())
+            });
+            let item = JobItem {
+                api,
+                slot: Arc::clone(&slot),
+            };
+            match group {
+                Some(group) => groups[group].1.push(item),
+                None => groups.push((affinity, vec![item])),
+            }
+            Ok(slot)
+        })
+        .collect();
+
+    for (_, items) in groups {
+        match shared.queue.try_push_reclaim(Job::Solve { items }, class) {
+            Ok(()) => {
+                shared.metrics.class_admitted[class.index()].inc();
+                shared.metrics.queue_depth.set(shared.queue.len() as i64);
+            }
+            Err((Job::Solve { items }, refusal)) => {
+                let (status, message) = match refusal {
+                    PushError::Full => {
+                        shared.metrics.rejected_queue_full.inc();
+                        shared.metrics.class_shed[class.index()].inc();
+                        (429, "solve queue full")
+                    }
+                    PushError::Closed => (503, "server shutting down"),
+                };
+                for item in items {
+                    remove_coalesce_entry(shared, &item.slot);
+                    item.slot.fill(status, error_body(message));
+                }
+            }
+            Err((Job::Slice { .. }, _)) => unreachable!("the queue hands back the job it refused"),
         }
     }
+    slots
 }
 
-/// The per-item state a batch dispatch tracks between its phases.
-enum BatchItem {
-    /// Item-level validation failure, reported in place.
-    Invalid(String),
-    /// This request owns the slot: a worker will fill it once its group
-    /// executes (or phase 3 fills the refusal).
-    Owned { slot: Arc<Slot> },
-    /// An identical request (in-flight `/v1/solve`, or an earlier item of
-    /// this same batch) already owns a slot; share its result.
-    Latched { slot: Arc<Slot> },
-}
-
-/// Submit a `/v1/batch` envelope: coalesce each item individually, group
-/// the owned items by operator affinity so each group runs through one
-/// checked-out context, enqueue the groups, then collect per-item results
-/// in order.  One failed item (or one refused group) never fails the
-/// envelope — every item reports its own status.
+/// Submit a `/v1/batch` envelope through [`admit`], then collect
+/// per-item results in order.  One failed item (or one refused group)
+/// never fails the envelope — every item reports its own status.
 fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) -> Response {
     let started = Instant::now();
     let deadline = request_deadline(request, shared);
@@ -752,126 +798,35 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
         .metrics
         .batch_items_total
         .add(batch.items.len() as u64);
+    let slots = admit(shared, batch.items, class);
 
-    // Phase 1: register-or-latch every valid item.  Identical items inside
-    // the batch latch onto the first occurrence's slot, and a batch item
-    // identical to an in-flight /v1/solve shares that solve's result.
-    let mut states: Vec<BatchItem> = Vec::with_capacity(batch.items.len());
-    let mut owned: Vec<(String, ApiJob, Arc<Slot>)> = Vec::new();
-    for item in batch.items {
-        match item {
-            Err(message) => states.push(BatchItem::Invalid(message)),
-            Ok(job) => {
-                let key = job.canonical_id();
-                let (slot, is_owner) = register_or_latch(shared, &key);
-                if is_owner {
-                    owned.push((key, job, Arc::clone(&slot)));
-                    states.push(BatchItem::Owned { slot });
-                } else {
-                    shared.metrics.coalesced_total.inc();
-                    states.push(BatchItem::Latched { slot });
-                }
-            }
-        }
-    }
-
-    // Phase 2: group owned items by operator identity, preserving batch
-    // order within each group (the first item of a group pays the stack
-    // build; the rest are repowered warm solves).
-    let mut groups: Vec<(String, Vec<JobItem>)> = Vec::new();
-    for (key, job, slot) in owned {
-        let affinity = job.affinity_id();
-        let item = JobItem {
-            key,
-            api: job,
-            slot,
-        };
-        match groups.iter_mut().find(|(a, _)| *a == affinity) {
-            Some((_, items)) => items.push(item),
-            None => groups.push((affinity, vec![item])),
-        }
-    }
-
-    // Phase 3: enqueue each group as one job.  A refused group fails only
-    // its own items (and their latched waiters), never the whole batch —
-    // the refusal is filled into the group's slots, so every item still
-    // reports a status in phase 4.
-    for (_, items) in groups {
-        let members: Vec<(String, Arc<Slot>)> = items
-            .iter()
-            .map(|item| (item.key.clone(), Arc::clone(&item.slot)))
-            .collect();
-        match shared.queue.try_push(Job::Solve { items }, class) {
-            Ok(()) => {
-                shared.metrics.class_admitted[class.index()].inc();
-                shared.metrics.queue_depth.set(shared.queue.len() as i64);
-            }
-            Err(refusal) => {
-                let (status, message) = match refusal {
-                    PushError::Full => {
-                        shared.metrics.rejected_queue_full.inc();
-                        shared.metrics.class_shed[class.index()].inc();
-                        (429, "solve queue full")
-                    }
-                    PushError::Closed => (503, "server shutting down"),
-                };
-                for (key, slot) in members {
-                    remove_coalesce_entry(shared, &key, &slot);
-                    slot.fill(status, error_body(message));
-                }
-            }
-        }
-    }
-
-    // Phase 4: collect results in the envelope's item order.  Each item
-    // waits on its own slot with whatever is left of the shared deadline;
-    // a timed-out item reports its own 504 without sinking the rest.
+    // Each item waits on its own slot with whatever is left of the shared
+    // deadline; a timed-out item reports its own 504 without sinking the
+    // rest.
     let (_, retry_ms) = shared.retry_hint(class);
-    let mut results: Vec<tsc_bench::json::Json> = Vec::with_capacity(states.len());
+    let mut results: Vec<Json> = Vec::with_capacity(slots.len());
     let mut item_errors = 0u64;
-    for state in states {
-        let item = match state {
-            BatchItem::Invalid(message) => tsc_bench::json::Json::object()
-                .field("status", 400usize)
-                .field(
-                    "body",
-                    tsc_bench::json::parse(&error_body(&message))
-                        .unwrap_or(tsc_bench::json::Json::Null),
-                ),
-            BatchItem::Owned { slot, .. } | BatchItem::Latched { slot } => {
-                let remaining = deadline.saturating_sub(started.elapsed());
-                match slot.wait(remaining) {
-                    Some((status, body)) => {
-                        let parsed = tsc_bench::json::parse(&body)
-                            .unwrap_or(tsc_bench::json::Json::Str(body));
-                        let mut item = tsc_bench::json::Json::object()
-                            .field("status", status as usize)
-                            .field("body", parsed);
-                        if status == 429 {
-                            item = item.field("retry_after_ms", retry_ms as usize);
-                        }
-                        item
-                    }
-                    None => {
-                        shared.metrics.deadline_timeouts.inc();
-                        tsc_bench::json::Json::object()
-                            .field("status", 504usize)
-                            .field(
-                                "body",
-                                tsc_bench::json::parse(&error_body(
-                                    "deadline expired before the solve completed",
-                                ))
-                                .unwrap_or(tsc_bench::json::Json::Null),
-                            )
-                    }
-                }
+    for slot in slots {
+        let remaining = deadline.saturating_sub(started.elapsed());
+        let (status, body) = match slot.map(|slot| slot.wait(remaining)) {
+            Err(message) => (400, Json::object().field("error", message)),
+            Ok(Some((status, body))) => {
+                let parsed = tsc_bench::json::parse(&body).unwrap_or(Json::Str(body));
+                (status, parsed)
+            }
+            Ok(None) => {
+                shared.metrics.deadline_timeouts.inc();
+                let expired = "deadline expired before the solve completed";
+                (504, Json::object().field("error", expired))
             }
         };
-        let failed = item
-            .get("status")
-            .and_then(tsc_bench::json::Json::as_usize)
-            .is_none_or(|status| status != 200);
-        if failed {
+        let mut item = Json::object()
+            .field("status", status as usize)
+            .field("body", body);
+        if status == 429 {
+            item = item.field("retry_after_ms", retry_ms as usize);
+        }
+        if status != 200 {
             item_errors += 1;
         }
         results.push(item);
@@ -880,21 +835,23 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
 
     let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     shared.metrics.observe_latency_us("batch", us);
-    let envelope = tsc_bench::json::Json::object()
+    let envelope = Json::object()
         .field("count", results.len())
         .field("errors", item_errors as usize)
         .field("items", results);
     Response::json(200, envelope.pretty())
 }
 
-fn remove_coalesce_entry(shared: &Shared, key: &str, slot: &Arc<Slot>) {
+fn remove_coalesce_entry(shared: &Shared, slot: &Arc<Slot>) {
     let mut coalesce = shared.coalesce.lock();
     // Only remove the entry if it is still *our* slot — a later identical
     // request may have re-registered after a worker finished ours.
-    if let Some(current) = coalesce.get(key) {
-        if Arc::ptr_eq(current, slot) {
-            coalesce.remove(key);
-        }
+    let key = slot.key.as_str();
+    if coalesce
+        .get(key)
+        .is_some_and(|current| Arc::ptr_eq(&current.0, slot))
+    {
+        coalesce.remove(key);
     }
 }
 
@@ -934,7 +891,7 @@ fn run_solve_group(shared: &Arc<Shared>, items: &[JobItem]) {
         // new identical requests must start a fresh solve (their
         // inputs may race a pool eviction, but correctness never
         // depends on reuse).
-        remove_coalesce_entry(shared, &item.key, &item.slot);
+        remove_coalesce_entry(shared, &item.slot);
         match result {
             Ok(body) => item.slot.fill(200, body),
             Err((status, message)) => item.slot.fill(status, error_body(&message)),
@@ -1027,7 +984,5 @@ fn jobs_pump(shared: &Arc<Shared>) {
 }
 
 fn error_body(message: &str) -> String {
-    tsc_bench::json::Json::object()
-        .field("error", message)
-        .pretty()
+    Json::object().field("error", message).pretty()
 }

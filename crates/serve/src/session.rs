@@ -34,7 +34,7 @@ use tsc_bench::json::Json;
 use tsc_thermal::transient::{RunawayDetector, StepHalt, StepLimits};
 use tsc_units::Temperature;
 
-use crate::api::TransientRequest;
+use crate::api::{decode_json, TransientRequest};
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::pool::ServicePools;
@@ -378,9 +378,7 @@ impl SessionHost<'_> {
 
 /// Parse the opening request body into a [`TransientRequest`].
 fn parse_open(request: &Request) -> Result<TransientRequest, String> {
-    let text = std::str::from_utf8(&request.body).map_err(|_| "body is not UTF-8".to_string())?;
-    let json = tsc_bench::json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))?;
-    TransientRequest::parse(&json)
+    decode_json(&request.body).and_then(|json| TransientRequest::parse(&json))
 }
 
 /// Write one event line; `false` means the client is gone.

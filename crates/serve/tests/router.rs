@@ -594,3 +594,162 @@ fn jobs_route_sticky_through_a_two_shard_router() {
     backend_a.shutdown();
     backend_b.shutdown();
 }
+
+/// A two-shard router whose prober looks once, at start: a shard killed
+/// afterwards stays marked healthy until a request finds it dead, so the
+/// tests below exercise the request path's own retry rules.
+fn start_router_without_probes(backends: &[&Server]) -> Router {
+    start_router(
+        backends.iter().map(|b| b.addr().to_string()).collect(),
+        Duration::from_secs(600),
+    )
+}
+
+/// `(the shard that holds job id, the other one)`, asked directly.
+fn owner_of(id: &str, a: Server, b: Server) -> (Server, Server) {
+    let found = |b: &Server| one_shot(b.addr(), "GET", &format!("/v1/jobs/{id}"), &[], b"").status;
+    if found(&a) == 200 {
+        (a, b)
+    } else {
+        assert_eq!(found(&b), 200, "job {id} is on neither shard");
+        (b, a)
+    }
+}
+
+fn job_id(response: &common::TestResponse) -> String {
+    assert_eq!(response.status, 202, "body: {}", response.body_str());
+    json::parse(&response.body_str())
+        .expect("submit doc")
+        .get("id")
+        .and_then(Json::as_str)
+        .expect("job id")
+        .to_string()
+}
+
+const JOB_SPEC: &[u8] =
+    br#"{"kind": "floorplan_sa", "design": "rocket", "replicas": 2, "seed": 23}"#;
+
+#[test]
+fn sub_batch_for_a_killed_shard_retries_on_the_survivor() {
+    let backend_a = start_backend(0);
+    let backend_b = start_backend(0);
+    let router = start_router_without_probes(&[&backend_a, &backend_b]);
+    let items: Vec<String> = (0..6)
+        .map(|i| String::from_utf8(keyed_solve(i)).unwrap())
+        .collect();
+    let body = format!(r#"{{"items": [{}]}}"#, items.join(",")).into_bytes();
+    let statuses = |response: &common::TestResponse| -> Vec<usize> {
+        assert_eq!(response.status, 200, "body: {}", response.body_str());
+        json::parse(&response.body_str())
+            .expect("envelope")
+            .get("items")
+            .and_then(Json::as_array)
+            .expect("items")
+            .iter()
+            .map(|item| item.get("status").and_then(Json::as_usize).unwrap_or(0))
+            .collect()
+    };
+
+    // Six operators spread over both shards (bounded loads cap either
+    // shard at four of them).
+    let warm = one_shot(router.addr(), "POST", "/v1/batch", &[], &body);
+    assert_eq!(statuses(&warm), vec![200; 6]);
+    for backend in [&backend_a, &backend_b] {
+        assert_eq!(requests_for(backend.metrics(), "batch", 200), 1);
+    }
+
+    backend_a.shutdown();
+    let retries = router.metrics().retries_total.get();
+    let routed = one_shot(router.addr(), "POST", "/v1/batch", &[], &body);
+    assert_eq!(statuses(&routed), vec![200; 6]);
+    assert!(router.metrics().retries_total.get() > retries);
+    // Its own sub-batch and the retried one.
+    assert_eq!(requests_for(backend_b.metrics(), "batch", 200), 3);
+
+    router.shutdown();
+    backend_b.shutdown();
+}
+
+#[test]
+fn job_status_after_its_owner_dies_is_a_503_not_a_neighbours_404() {
+    let backend_a = start_backend(0);
+    let backend_b = start_backend(0);
+    let router = start_router_without_probes(&[&backend_a, &backend_b]);
+    let raddr = router.addr();
+
+    let id = job_id(&one_shot(raddr, "POST", "/v1/jobs", &[], JOB_SPEC));
+    let (owner, survivor) = owner_of(&id, backend_a, backend_b);
+    let misses = requests_for(survivor.metrics(), "jobs", 404);
+    let cancel = one_shot(raddr, "POST", &format!("/v1/jobs/{id}/cancel"), &[], b"");
+    assert_eq!(cancel.status, 200, "body: {}", cancel.body_str());
+
+    owner.shutdown();
+    let status = one_shot(raddr, "GET", &format!("/v1/jobs/{id}"), &[], b"");
+    assert_eq!(status.status, 503, "body: {}", status.body_str());
+    assert!(status.header("retry-after").is_some(), "typed 503 hint");
+    assert_eq!(requests_for(survivor.metrics(), "jobs", 404), misses);
+
+    router.shutdown();
+    survivor.shutdown();
+}
+
+#[test]
+fn job_submitted_while_its_shard_is_dead_is_admitted_by_the_survivor() {
+    let backend_a = start_backend(0);
+    let backend_b = start_backend(0);
+    let router = start_router_without_probes(&[&backend_a, &backend_b]);
+    let raddr = router.addr();
+
+    // The spec's first submission shows which shard its hash places on.
+    let first = job_id(&one_shot(raddr, "POST", "/v1/jobs", &[], JOB_SPEC));
+    let (home, survivor) = owner_of(&first, backend_a, backend_b);
+    let cancel = one_shot(raddr, "POST", &format!("/v1/jobs/{first}/cancel"), &[], b"");
+    assert_eq!(cancel.status, 200, "body: {}", cancel.body_str());
+
+    home.shutdown();
+    let retries = router.metrics().retries_total.get();
+    let id = job_id(&one_shot(raddr, "POST", "/v1/jobs", &[], JOB_SPEC));
+    assert!(router.metrics().retries_total.get() > retries);
+    let status = one_shot(raddr, "GET", &format!("/v1/jobs/{id}"), &[], b"");
+    assert_eq!(status.status, 200, "body: {}", status.body_str());
+    let direct = one_shot(survivor.addr(), "GET", &format!("/v1/jobs/{id}"), &[], b"");
+    assert_eq!(direct.status, 200, "the survivor holds the job");
+    let cancel = one_shot(raddr, "POST", &format!("/v1/jobs/{id}/cancel"), &[], b"");
+    assert_eq!(cancel.status, 200, "body: {}", cancel.body_str());
+
+    router.shutdown();
+    survivor.shutdown();
+}
+
+#[test]
+fn batch_envelope_errors_match_a_lone_shard() {
+    let backend = start_backend(0);
+    let router = start_router(vec![backend.addr().to_string()], Duration::from_millis(100));
+    let too_many = format!(
+        r#"{{"items": [{}]}}"#,
+        vec![r#"{"design": "gemmini"}"#; 257].join(",")
+    );
+    let bodies: [&[u8]; 6] = [
+        b"{}",
+        br#"{"items": 5}"#,
+        br#"{"items": []}"#,
+        too_many.as_bytes(),
+        b"not json",
+        b"{\"items\": \xff}",
+    ];
+    for body in bodies {
+        let direct = one_shot(backend.addr(), "POST", "/v1/batch", &[], body);
+        let routed = one_shot(router.addr(), "POST", "/v1/batch", &[], body);
+        assert_eq!(direct.status, 400, "body: {}", direct.body_str());
+        assert_eq!(
+            (routed.status, routed.body_str()),
+            (direct.status, direct.body_str()),
+            "envelope {}",
+            String::from_utf8_lossy(body)
+        );
+    }
+    assert_eq!(router.metrics().batch_subbatches_total.get(), 0);
+
+    router.shutdown();
+    backend.shutdown();
+}
