@@ -28,6 +28,10 @@ pub enum Json {
     Array(Vec<Json>),
     /// An object with insertion-ordered keys.
     Object(Vec<(String, Json)>),
+    /// A document already written by [`Json::render`], nested in place
+    /// — its text re-indented to its depth — instead of parsed and
+    /// written again.  It writes the bytes its parsed tree would.
+    Rendered(Pretty),
 }
 
 impl Json {
@@ -114,10 +118,17 @@ impl Json {
     /// Serializes with two-space indentation and a trailing newline.
     #[must_use]
     pub fn pretty(&self) -> String {
+        self.render().0
+    }
+
+    /// [`Json::pretty`], kept as a [`Pretty`] document so that it can be
+    /// nested in another document without a parse.
+    #[must_use]
+    pub fn render(&self) -> Pretty {
         let mut out = String::new();
         self.write_into(&mut out, 0);
         out.push('\n');
-        out
+        Pretty(out)
     }
 
     /// Serializes onto a single line with no trailing newline — the
@@ -146,6 +157,9 @@ impl Json {
                 }
                 out.push(']');
             }
+            Self::Rendered(doc) => parse(doc)
+                .expect("a rendered document parses")
+                .write_compact(out),
             Self::Object(fields) => {
                 let mut fields: Vec<&(String, Json)> = fields.iter().collect();
                 fields.sort_by(|a, b| a.0.cmp(&b.0));
@@ -164,8 +178,6 @@ impl Json {
     }
 
     fn write_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth + 1);
-        let close = "  ".repeat(depth);
         match self {
             Self::Null => out.push_str("null"),
             Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -185,11 +197,11 @@ impl Json {
             Self::Array(items) => {
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
+                    indent(out, depth + 1);
                     item.write_into(out, depth + 1);
                     out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&close);
+                indent(out, depth);
                 out.push(']');
             }
             Self::Object(fields) if fields.is_empty() => out.push_str("{}"),
@@ -201,15 +213,64 @@ impl Json {
                 fields.sort_by(|a, b| a.0.cmp(&b.0));
                 out.push_str("{\n");
                 for (i, (key, value)) in fields.iter().enumerate() {
-                    out.push_str(&pad);
+                    indent(out, depth + 1);
                     write_escaped(out, key);
                     out.push_str(": ");
                     value.write_into(out, depth + 1);
                     out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&close);
+                indent(out, depth);
                 out.push('}');
             }
+            Self::Rendered(doc) => doc.write_nested(out, depth),
+        }
+    }
+}
+
+/// Two spaces per nesting level.
+fn indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+/// A document as [`Json::pretty`] writes it.  Only [`Json::render`]
+/// makes one, so its text keeps the two properties that nesting it as
+/// [`Json::Rendered`] relies on: it ends in a single `'\n'`, and every
+/// other line break in it falls between tokens, each followed by the
+/// two-space indentation of its level (a string's own line breaks are
+/// written as the escape `\n`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pretty(String);
+
+impl std::ops::Deref for Pretty {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Pretty {
+    /// The document's text, by value.
+    #[must_use]
+    pub fn into_string(self) -> String {
+        self.0
+    }
+
+    /// Appends the document as a value nested `depth` levels deep in
+    /// another pretty document: the bytes the tree writer would append
+    /// for the parsed document at that depth, written without parsing
+    /// it.  Each of its line breaks takes `depth` more levels of
+    /// indentation, and its final line break is dropped.
+    fn write_nested(&self, out: &mut String, depth: usize) {
+        let text = self.0.strip_suffix('\n').unwrap_or(&self.0);
+        for (i, line) in text.split('\n').enumerate() {
+            if i > 0 {
+                out.push('\n');
+                indent(out, depth);
+            }
+            out.push_str(line);
         }
     }
 }
@@ -445,6 +506,11 @@ impl From<Vec<Json>> for Json {
         Self::Array(items)
     }
 }
+impl From<Pretty> for Json {
+    fn from(doc: Pretty) -> Self {
+        Self::Rendered(doc)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -621,6 +687,100 @@ mod tests {
         assert!(parse(&deep).is_err(), "100 levels exceed the cap");
         let fine = "[".repeat(40) + &"]".repeat(40);
         assert!(parse(&fine).is_ok(), "40 levels are fine");
+    }
+
+    /// A random number from the shapes the writer treats differently:
+    /// integers on both sides of the 1e15 cutoff, signed zeros, large
+    /// and tiny exponents, arbitrary finite bit patterns, non-finite.
+    fn random_number(rng: &mut tsc_rng::Rng64) -> Json {
+        let x = match rng.gen_range(0..9) {
+            0 => rng.gen_range(0..1_000_000) as f64,
+            1 => 1e15 * (1 + rng.gen_range(0..1000)) as f64,
+            2 => -(rng.gen_range(0..1 << 20) as f64),
+            3 => -0.0,
+            4 => rng.gen_range_f64(-1.0..1.0) * 10f64.powi(rng.gen_range(0..600) as i32 - 300),
+            5 => f64::from_bits(rng.next_u64()),
+            6 => {
+                [f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, f64::MAX, 5e-324][rng.gen_range(0..5)]
+            }
+            7 => 999_999_999_999_999.0 + rng.gen_range(0..3) as f64,
+            _ => rng.gen_range_f64(-1e6..1e6),
+        };
+        Json::Num(if x.is_finite() || rng.gen_bool() {
+            x
+        } else {
+            f64::NAN
+        })
+    }
+
+    /// A random string over quotes, backslashes, line breaks, every
+    /// control character, DEL, multi-byte and astral text.
+    fn random_text(rng: &mut tsc_rng::Rng64) -> String {
+        const PIECES: [&str; 12] = [
+            "\"", "\\", "\n", "\r\n", "\t", "/", "\u{7f}", "é", "中文", "😀", "key", " ",
+        ];
+        (0..rng.gen_range(0..8))
+            .map(|_| {
+                if rng.gen_range(0..4) == 0 {
+                    char::from_u32(rng.gen_range(0..0x20) as u32)
+                        .expect("a control character")
+                        .to_string()
+                } else {
+                    PIECES[rng.gen_range(0..PIECES.len())].to_string()
+                }
+            })
+            .collect()
+    }
+
+    fn random_tree(rng: &mut tsc_rng::Rng64, depth: usize) -> Json {
+        let leaf = depth >= 5 || rng.gen_range(0..3) == 0;
+        match rng.gen_range(0..if leaf { 4 } else { 6 }) {
+            0 => [Json::Null, Json::Bool(true), Json::Bool(false)][rng.gen_range(0..3)].clone(),
+            1 | 2 => random_number(rng),
+            3 => Json::Str(random_text(rng)),
+            4 => Json::Array(
+                (0..rng.gen_range(0..5))
+                    .map(|_| random_tree(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Object(
+                (0..rng.gen_range(0..5))
+                    .map(|_| {
+                        // Few distinct keys, so duplicates and unsorted
+                        // insertion both occur.
+                        let key = ["b", "a", "c\"q", "é", ""][rng.gen_range(0..5)].to_string();
+                        (key, random_tree(rng, depth + 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The two facts that let a rendered body travel without a parse:
+    /// a pretty document parses back to a tree that renders the same
+    /// bytes, and nesting it as [`Json::Rendered`] writes what the tree
+    /// writer writes for it at that depth.
+    #[test]
+    fn pretty_round_trips_and_nests_like_the_tree_writer() {
+        let mut rng = tsc_rng::Rng64::seed_from_u64(0x5eed_0029);
+        for case in 0..2_000 {
+            let doc = random_tree(&mut rng, 0);
+            let text = doc.pretty();
+            let back = parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(back.pretty(), text, "case {case}: parse then pretty");
+            for depth in 0..4 {
+                let mut spliced = String::new();
+                Json::Rendered(doc.render()).write_into(&mut spliced, depth);
+                let mut written = String::new();
+                back.write_into(&mut written, depth);
+                assert_eq!(spliced, written, "case {case}: nested at depth {depth}");
+            }
+            let nested = Json::object().field("body", doc.render());
+            assert_eq!(
+                nested.compact(),
+                Json::object().field("body", back).compact()
+            );
+        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! in-flight solve — and an executor that runs the solve through a
 //! pooled [`SolveContext`] and renders the response body.
 
-use tsc_bench::json::Json;
+use tsc_bench::json::{Json, Pretty};
 use tsc_core::beol::BeolProperties;
 use tsc_core::flows::{run_flow_with, CoolingStrategy, FlowConfig};
 use tsc_core::pillars::{self, PlacementConfig};
-use tsc_core::stack::{self, StackConfig, StackSolution};
+use tsc_core::stack::{self, Stack3d, StackConfig, StackSolution};
 use tsc_designs::{fujitsu, gemmini, rocket, Design};
 use tsc_geometry::Grid3;
 use tsc_jobs::fnv1a_bytes;
@@ -559,7 +559,7 @@ impl ApiJob {
         &self,
         pools: &ServicePools,
         metrics: &Metrics,
-    ) -> Result<String, (u16, String)> {
+    ) -> Result<Pretty, (u16, String)> {
         let pool = &pools.contexts;
         match self {
             ApiJob::Solve(req) => {
@@ -584,7 +584,7 @@ impl ApiJob {
                         .field("pillar_density_percent", result.pillar_density.percent())
                         .field("fill_slack_percent", result.fill_slack.percent())
                         .field("meets_limit", result.meets_limit)
-                        .pretty())
+                        .render())
                 })
             }
             ApiJob::Pillars(req) => {
@@ -598,11 +598,11 @@ impl ApiJob {
                             .field("pillars", plan.positions.len())
                             .field("replicas", plan.replicas)
                             .field("area_penalty_percent", plan.area_penalty.percent())
-                            .pretty(),
+                            .render(),
                         None => Json::object()
                             .field("found", false)
                             .field("reason", "max_density cannot meet the temperature target")
-                            .pretty(),
+                            .render(),
                     })
                 })
             }
@@ -692,7 +692,7 @@ pub fn catch_execute(
     job: &ApiJob,
     pools: &ServicePools,
     metrics: &Metrics,
-) -> Result<String, (u16, String)> {
+) -> Result<Pretty, (u16, String)> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.execute(pools, metrics))) {
         Ok(result) => result,
         Err(_) => {
@@ -717,7 +717,7 @@ pub fn execute_group(
     jobs: &[&ApiJob],
     pools: &ServicePools,
     metrics: &Metrics,
-) -> Vec<Result<String, (u16, String)>> {
+) -> Vec<Result<Pretty, (u16, String)>> {
     let solves: Option<Vec<&SolveRequest>> = jobs
         .iter()
         .map(|job| match job {
@@ -752,6 +752,31 @@ fn paint(entry: &mut OperatorEntry, design: &Design, req: &SolveRequest) {
     }
 }
 
+/// The power painted on `stack` as the affine fit reads it: the
+/// device-layer cells, in flat order.  [`stack::repower`] leaves every
+/// other cell at exactly `0.0`, and an exact zero changes none of the
+/// fit's sums, dots or membership checks, so a fit over these cells
+/// gives bitwise the anchors and coordinates of a fit over the whole
+/// vector.  That is checked, not assumed: `None` (no plan, per-item
+/// solves) when any other cell is not `+0.0`.
+fn powered_cells(stack: &Stack3d) -> Option<Vec<f64>> {
+    let power = stack.problem.power_flat();
+    let dim = stack.problem.dim();
+    let layer = dim.nx * dim.ny;
+    let unpowered = |cells: &[f64]| cells.iter().all(|p| p.to_bits() == 0);
+    let mut cells = Vec::with_capacity(layer * stack.layout.device_layers.len());
+    let mut next = 0;
+    for &k in &stack.layout.device_layers {
+        let start = k * layer;
+        if start < next || !unpowered(power.get(next..start)?) {
+            return None;
+        }
+        next = start + layer;
+        cells.extend_from_slice(power.get(start..next)?);
+    }
+    unpowered(&power[next..]).then_some(cells)
+}
+
 /// Paint `req`'s power on `entry` and solve it on the entry's context.
 fn solve_at(
     entry: &mut OperatorEntry,
@@ -773,7 +798,7 @@ fn execute_solve_group(
     operator_id: String,
     pools: &ServicePools,
     metrics: &Metrics,
-) -> Vec<Result<String, (u16, String)>> {
+) -> Vec<Result<Pretty, (u16, String)>> {
     if jobs.len() >= 2 {
         metrics.batch_groups_total.inc();
     }
@@ -818,15 +843,16 @@ fn execute_solve_group(
     // utilization differs, and pillar placement ignores utilization),
     // and power density is affine in utilization — so the group's power
     // vectors usually sit on one line.  Paint each item's power (cheap:
-    // no mesh or operator work), fit the family, and when membership
-    // verifies elementwise, price the whole sweep with the two extreme
-    // solves plus exact superposition of everything in between.
+    // no mesh or operator work), fit the family on its powered cells,
+    // and when membership verifies elementwise, price the whole sweep
+    // with the two extreme solves plus exact superposition of everything
+    // in between.
     if jobs.len() >= 3 {
         let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut powers = Vec::with_capacity(reqs.len());
             for req in reqs {
                 paint(&mut entry, design, req);
-                powers.push(entry.stack.problem.power_flat().to_vec());
+                powers.push(powered_cells(&entry.stack)?);
             }
             tsc_thermal::affine_family(&powers)
         }));
@@ -891,7 +917,7 @@ fn execute_solve_group(
             continue;
         }
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<String, (u16, String)> {
+            || -> Result<Pretty, (u16, String)> {
                 let solution = solve_at(&mut entry, design, req)?;
                 let stack_solution = StackSolution {
                     solution,
@@ -934,9 +960,9 @@ fn run_pooled<F>(
     metrics: &Metrics,
     key: String,
     body: F,
-) -> Result<String, (u16, String)>
+) -> Result<Pretty, (u16, String)>
 where
-    F: FnOnce(&mut SolveContext) -> Result<String, (u16, String)>,
+    F: FnOnce(&mut SolveContext) -> Result<Pretty, (u16, String)>,
 {
     let mut ctx = match pool.take(&key) {
         Some(ctx) => {
@@ -990,7 +1016,7 @@ fn accumulate_context_delta(metrics: &Metrics, before: &ContextStats, after: &Co
         .add(d(after.projected_starts, before.projected_starts));
 }
 
-fn render_solve(req: &SolveRequest, solved: &StackSolution, totals: ContextStats) -> String {
+fn render_solve(req: &SolveRequest, solved: &StackSolution, totals: ContextStats) -> Pretty {
     let profile: Vec<Json> = solved
         .tier_profile()
         .iter()
@@ -1020,7 +1046,7 @@ fn render_solve(req: &SolveRequest, solved: &StackSolution, totals: ContextStats
                 .field("warm_starts", totals.warm_starts)
                 .field("projected_starts", totals.projected_starts),
         )
-        .pretty()
+        .render()
 }
 
 #[cfg(test)]
@@ -1458,6 +1484,56 @@ mod tests {
                     "{strategy}: kxy at ({i}, {j}, {k})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn fit_on_powered_cells_is_the_full_vector_fit() {
+        let design = lookup_design("gemmini").unwrap();
+        for strategy in ["scaffolding", "vertical-only", "conventional"] {
+            let item = |u: f64| {
+                let body = format!(
+                    r#"{{"design": "gemmini", "tiers": 4, "lateral_cells": 12,
+                        "strategy": "{strategy}", "utilization_percent": {u}}}"#
+                );
+                let Ok(ApiJob::Solve(req)) = ApiJob::parse("/v1/solve", body.as_bytes()).unwrap()
+                else {
+                    panic!("{strategy}: not a solve request");
+                };
+                req
+            };
+            let mut stack = stack::build(design, &item(100.0).stack_config(design));
+            let (mut full, mut powered) = (Vec::new(), Vec::new());
+            for u in [100.0, 35.0, 72.5, 55.0, 91.0, 12.0, 35.0] {
+                stack::repower(&mut stack, design, &item(u).power_config());
+                full.push(stack.problem.power_flat().to_vec());
+                powered.push(powered_cells(&stack).expect("only device layers carry power"));
+            }
+            assert_eq!(
+                powered[0].len(),
+                4 * 12 * 12,
+                "{strategy}: four device layers"
+            );
+            let whole = tsc_thermal::affine_family(&full).expect("a utilization family");
+            let fit = tsc_thermal::affine_family(&powered).expect("the same family");
+            assert_eq!(
+                (fit.anchor_low, fit.anchor_high),
+                (whole.anchor_low, whole.anchor_high),
+                "{strategy}: anchors"
+            );
+            assert_eq!(bits(fit.alphas), bits(whole.alphas), "{strategy}: alphas");
+
+            // Power anywhere off the device layers declines the plan.
+            stack
+                .problem
+                .add_power(3, 5, 0, tsc_units::Power::from_watts(1e-12));
+            assert!(powered_cells(&stack).is_none(), "{strategy}: handle layer");
+            stack::repower(&mut stack, design, &item(50.0).power_config());
+            let top = stack.problem.dim().nz - 1;
+            stack
+                .problem
+                .add_power(0, 11, top, tsc_units::Power::from_watts(1e-12));
+            assert!(powered_cells(&stack).is_none(), "{strategy}: top layer");
         }
     }
 

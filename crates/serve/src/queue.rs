@@ -1,9 +1,10 @@
 //! A bounded multi-producer multi-consumer job queue on `Mutex` +
 //! `Condvar`, with strict-priority admission classes.
 //!
-//! `try_push` never blocks — a full queue (or an exhausted class quota)
-//! is reported to the caller so the HTTP layer can answer 429 with
-//! `Retry-After` instead of stalling the connection thread.  `pop`
+//! `try_push_reclaim` never blocks — a full queue (or an exhausted class
+//! quota) is reported to the caller, with the refused job, so the HTTP
+//! layer can answer 429 with `Retry-After` instead of stalling the
+//! connection thread.  `pop`
 //! blocks until a job arrives or the queue is closed *and* drained,
 //! which gives graceful shutdown for free: closing wakes every worker,
 //! but queued jobs are still handed out until the queue is empty.
@@ -84,7 +85,7 @@ impl Priority {
     }
 }
 
-/// Why a `try_push` was refused.
+/// Why a `try_push_reclaim` was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
     /// The queue is at capacity (or the class quota is exhausted) — the
@@ -148,24 +149,16 @@ impl<T> JobQueue<T> {
         self.len() == 0
     }
 
-    /// Enqueue without blocking, subject to the class quota.
+    /// Enqueue without blocking, subject to the class quota.  A refused
+    /// job is handed back to the caller instead of dropped: admission
+    /// fills a refused group's slots, and the jobs pump retries
+    /// checked-out work slices on the next tick rather than losing them.
     ///
     /// # Errors
     ///
-    /// `PushError::Full` when total occupancy has reached the class's
-    /// quota (the shared cap, for interactive), `PushError::Closed`
-    /// after `close`.
-    pub fn try_push(&self, job: T, class: Priority) -> Result<(), PushError> {
-        self.try_push_reclaim(job, class).map_err(|(_, e)| e)
-    }
-
-    /// [`try_push`](Self::try_push), but a refused job is handed back to
-    /// the caller instead of dropped — the jobs pump retries checked-out
-    /// work slices on the next tick rather than losing them.
-    ///
-    /// # Errors
-    ///
-    /// The refused job together with the reason.
+    /// The refused job together with the reason: `PushError::Full` when
+    /// total occupancy has reached the class's quota (the shared cap, for
+    /// interactive), `PushError::Closed` after `close`.
     pub fn try_push_reclaim(&self, job: T, class: Priority) -> Result<(), (T, PushError)> {
         let mut inner = self.inner.lock();
         if inner.closed {
@@ -212,8 +205,12 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    fn push_as(q: &JobQueue<u32>, job: u32, class: Priority) -> Result<(), PushError> {
+        q.try_push_reclaim(job, class).map_err(|(_, e)| e)
+    }
+
     fn push(q: &JobQueue<u32>, job: u32) -> Result<(), PushError> {
-        q.try_push(job, Priority::Interactive)
+        push_as(q, job, Priority::Interactive)
     }
 
     #[test]
@@ -265,11 +262,11 @@ mod tests {
         // Capacity 16 keeps every class quota (bg 8, batch 12) clear of
         // the five pushes, so only ordering is under test here.
         let q = JobQueue::new(16);
-        q.try_push(30, Priority::Background).unwrap();
-        q.try_push(20, Priority::Batch).unwrap();
-        q.try_push(10, Priority::Interactive).unwrap();
-        q.try_push(11, Priority::Interactive).unwrap();
-        q.try_push(31, Priority::Background).unwrap();
+        push_as(&q, 30, Priority::Background).unwrap();
+        push_as(&q, 20, Priority::Batch).unwrap();
+        push_as(&q, 10, Priority::Interactive).unwrap();
+        push_as(&q, 11, Priority::Interactive).unwrap();
+        push_as(&q, 31, Priority::Background).unwrap();
         assert_eq!(q.pop(), Some(10));
         assert_eq!(q.pop(), Some(11));
         assert_eq!(q.pop(), Some(20));
@@ -283,28 +280,28 @@ mod tests {
         // cap 8: background quota 4, batch quota 6, interactive 8.
         let q = JobQueue::new(8);
         for i in 0..4 {
-            q.try_push(i, Priority::Background).unwrap();
+            push_as(&q, i, Priority::Background).unwrap();
         }
         assert_eq!(
-            q.try_push(99, Priority::Background),
+            push_as(&q, 99, Priority::Background),
             Err(PushError::Full),
             "background saturates at half the cap"
         );
         // Batch still has room up to 6 total...
-        q.try_push(50, Priority::Batch).unwrap();
-        q.try_push(51, Priority::Batch).unwrap();
-        assert_eq!(q.try_push(52, Priority::Batch), Err(PushError::Full));
+        push_as(&q, 50, Priority::Batch).unwrap();
+        push_as(&q, 51, Priority::Batch).unwrap();
+        assert_eq!(push_as(&q, 52, Priority::Batch), Err(PushError::Full));
         // ...and interactive keeps the reserved headroom to the full cap.
-        q.try_push(1, Priority::Interactive).unwrap();
-        q.try_push(2, Priority::Interactive).unwrap();
-        assert_eq!(q.try_push(3, Priority::Interactive), Err(PushError::Full));
+        push_as(&q, 1, Priority::Interactive).unwrap();
+        push_as(&q, 2, Priority::Interactive).unwrap();
+        assert_eq!(push_as(&q, 3, Priority::Interactive), Err(PushError::Full));
         assert_eq!(q.len(), 8);
     }
 
     #[test]
     fn quota_floors_keep_tiny_queues_usable() {
         let q = JobQueue::new(1);
-        q.try_push(7, Priority::Background).unwrap();
+        push_as(&q, 7, Priority::Background).unwrap();
         assert_eq!(q.pop(), Some(7));
     }
 
@@ -345,7 +342,7 @@ mod tests {
                             _ => Priority::Background,
                         };
                         loop {
-                            match q.try_push(job, class) {
+                            match push_as(&q, job, class) {
                                 Ok(()) => break,
                                 Err(PushError::Full) => thread::yield_now(),
                                 Err(PushError::Closed) => panic!("closed early"),

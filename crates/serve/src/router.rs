@@ -72,7 +72,7 @@ use crate::http::{Limits, Request, Response};
 use crate::locks::{rank, RankedMutex};
 use crate::metrics::{Counter, Gauge};
 use crate::ring::{BoundedTable, DEFAULT_EXPANSION, DEFAULT_TABLE_CAPACITY};
-use crate::server::{drive_connection, ConnectionHandler, Jitter};
+use crate::server::{drive_connection, envelope_count, ConnectionHandler, Jitter};
 
 /// How a request picks its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -461,18 +461,18 @@ impl RouterShared {
         }
     }
 
-    /// Resolve the shard owning job `id`: the sticky map if it still
-    /// points at a healthy shard, else a broadcast `GET /v1/jobs/{id}`
-    /// probe across healthy shards (a router restart loses the map; the
-    /// jobs themselves live on the shards).
+    /// Resolve the shard owning job `id`: the sticky map, healthy or
+    /// not, else a broadcast `GET /v1/jobs/{id}` probe across healthy
+    /// shards (a router restart loses the map; the jobs themselves live on
+    /// the shards).  An ejected owner stays the owner: no survivor holds
+    /// the job, so the request ends in [`RouteKey::Owner`]'s 503 rather
+    /// than in a neighbour's 404.
     fn job_owner(&self, id: u64) -> Option<usize> {
         let jobs = self.jobs.lock();
         let known = jobs.get(&id).copied();
         drop(jobs);
-        if let Some(shard) = known {
-            if self.is_healthy(shard) {
-                return Some(shard);
-            }
+        if known.is_some() {
+            return known;
         }
         self.metrics.job_broadcasts_total.inc();
         let path = format!("/v1/jobs/{id:016x}");
@@ -836,11 +836,18 @@ impl ConnectionHandler for Arc<RouterShared> {
             && request.path.starts_with("/v1/jobs/")
             && request.path.ends_with("/events")
         {
-            let owner = job_id_from_path(&request.path).and_then(|id| self.job_owner(id));
-            (
-                owner.ok_or_else(|| Response::error(404, "no such job")),
-                &self.metrics.job_event_tunnels_total,
-            )
+            // The job-owner rule of `route_job_entry`: an ejected owner
+            // is a 503, not a tunnel to it.
+            let shard = match job_id_from_path(&request.path).and_then(|id| self.job_owner(id)) {
+                None => Err(Response::error(404, "no such job")),
+                Some(owner) => self
+                    .pick_shard(RouteKey::Owner(owner), None)
+                    .ok_or_else(|| {
+                        self.metrics.no_backend_total.inc();
+                        unavailable_response()
+                    }),
+            };
+            (shard, &self.metrics.job_event_tunnels_total)
         } else if request.method == "POST" && request.path == "/v1/transient" {
             (
                 session_shard(self, request),
@@ -1143,25 +1150,34 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
         }
     }
 
+    // When one shard holds every item, its sub-batch is the client's
+    // envelope: forward the client's bytes as they came.
+    let whole = matches!(groups.as_slice(), [(_, _, indices)] if indices.len() == items.len());
     let headers = forwarded_headers(request);
     let header_refs = as_header_refs(&headers);
     let mut merged: Vec<Option<Json>> = vec![None; items.len()];
 
     let send = |(shard, key, indices): (usize, u64, Vec<usize>)| {
-        let sub_items: Vec<Json> = indices.iter().map(|i| items[*i].clone()).collect();
-        let body = Json::object()
-            .field("items", sub_items)
-            .pretty()
-            .into_bytes();
+        let rendered;
+        let body = if whole {
+            &request.body
+        } else {
+            let sub_items: Vec<Json> = indices.iter().map(|i| items[*i].clone()).collect();
+            rendered = Json::object()
+                .field("items", sub_items)
+                .pretty()
+                .into_bytes();
+            &rendered
+        };
         shared.metrics.batch_subbatches_total.inc();
         let route = RouteKey::SubBatch { shard, key };
-        let outcome = forward(shared, route, "POST", "/v1/batch", &header_refs, &body);
+        let outcome = forward(shared, route, "POST", "/v1/batch", &header_refs, body);
         (indices, outcome)
     };
     // Fan the sub-batches out concurrently — shards solve in parallel.
     // The first goes out on this thread, so a batch that lands on one
     // shard spawns no thread at all.
-    let outcomes: Vec<(Vec<usize>, _)> = thread::scope(|scope| {
+    let mut outcomes: Vec<(Vec<usize>, _)> = thread::scope(|scope| {
         let mut groups = groups.into_iter();
         let first = groups.next();
         let handles: Vec<_> = groups.map(|group| scope.spawn(|| send(group))).collect();
@@ -1173,6 +1189,21 @@ fn route_batch(request: &Request, shared: &Arc<RouterShared>) -> Response {
         }));
         outcomes
     });
+
+    // The shard's answer to the whole envelope is the client's answer
+    // when it holds one item per request item: pass its bytes through.
+    if whole {
+        if let Some((_, Ok((_, upstream)))) = outcomes.first_mut() {
+            let answered = std::str::from_utf8(&upstream.body)
+                .ok()
+                .and_then(envelope_count);
+            if upstream.status == 200 && answered == Some(items.len()) {
+                let mut response = Response::json(200, String::new());
+                response.body = std::mem::take(&mut upstream.body);
+                return response;
+            }
+        }
+    }
 
     for (indices, outcome) in outcomes {
         let (status, body) = match outcome {

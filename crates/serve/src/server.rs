@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use tsc_bench::json::Json;
+use tsc_bench::json::{Json, Pretty};
 use tsc_jobs::{ShardWork, TableConfig};
 use tsc_rng::{finalize, unit_f64, GAMMA};
 
@@ -96,7 +96,7 @@ impl Default for ServerConfig {
 struct Slot {
     /// The [`ApiJob::canonical_id`] it is registered under.
     key: String,
-    result: RankedMutex<Option<(u16, String)>>,
+    result: RankedMutex<Option<(u16, Pretty)>>,
     ready: Condvar,
 }
 
@@ -133,7 +133,7 @@ impl Slot {
         })
     }
 
-    fn fill(&self, status: u16, body: String) {
+    fn fill(&self, status: u16, body: Pretty) {
         let mut guard = self.result.lock();
         *guard = Some((status, body));
         drop(guard);
@@ -143,7 +143,7 @@ impl Slot {
     /// Wait until filled or `deadline` elapses.  Every waiter receives a
     /// clone of the same `(status, body)` — coalesced responses are
     /// bitwise identical by construction.
-    fn wait(&self, deadline: Duration) -> Option<(u16, String)> {
+    fn wait(&self, deadline: Duration) -> Option<(u16, Pretty)> {
         let start = Instant::now();
         let mut guard = self.result.lock();
         while guard.is_none() {
@@ -669,7 +669,7 @@ fn dispatch_heavy(
         Some((status, body)) => {
             let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
             shared.metrics.observe_latency_us(endpoint, us);
-            let response = Response::json(status, body);
+            let response = Response::json(status, body.into_string());
             if status != 429 {
                 return response;
             }
@@ -804,42 +804,64 @@ fn dispatch_batch(request: &Request, batch: BatchRequest, shared: &Arc<Shared>) 
     // deadline; a timed-out item reports its own 504 without sinking the
     // rest.
     let (_, retry_ms) = shared.retry_hint(class);
-    let mut results: Vec<Json> = Vec::with_capacity(slots.len());
-    let mut item_errors = 0u64;
+    let mut answers: Vec<(u16, Json)> = Vec::with_capacity(slots.len());
     for slot in slots {
         let remaining = deadline.saturating_sub(started.elapsed());
         let (status, body) = match slot.map(|slot| slot.wait(remaining)) {
-            Err(message) => (400, Json::object().field("error", message)),
-            Ok(Some((status, body))) => {
-                let parsed = tsc_bench::json::parse(&body).unwrap_or(Json::Str(body));
-                (status, parsed)
-            }
+            Err(message) => (400, error_body(&message)),
+            Ok(Some(answer)) => answer,
             Ok(None) => {
                 shared.metrics.deadline_timeouts.inc();
                 let expired = "deadline expired before the solve completed";
-                (504, Json::object().field("error", expired))
+                (504, error_body(expired))
             }
         };
-        let mut item = Json::object()
-            .field("status", status as usize)
-            .field("body", body);
-        if status == 429 {
-            item = item.field("retry_after_ms", retry_ms as usize);
-        }
-        if status != 200 {
-            item_errors += 1;
-        }
-        results.push(item);
+        answers.push((status, body.into()));
     }
-    shared.metrics.batch_item_errors_total.add(item_errors);
+    let (envelope, errors) = batch_envelope(answers, retry_ms);
+    shared.metrics.batch_item_errors_total.add(errors);
 
     let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     shared.metrics.observe_latency_us("batch", us);
+    Response::json(200, envelope)
+}
+
+/// Renders the `/v1/batch` answer to per-item `(status, body)` answers
+/// (a 429 also carries `retry_ms`), and counts its non-200 items.  The
+/// bodies come as [`Json::Rendered`] documents, which the writer nests
+/// in place rather than parsing them back into trees.
+fn batch_envelope(answers: Vec<(u16, Json)>, retry_ms: u64) -> (String, u64) {
+    let errors = answers.iter().filter(|(status, _)| *status != 200).count();
+    let items: Vec<Json> = answers
+        .into_iter()
+        .map(|(status, body)| {
+            let item = Json::object()
+                .field("status", usize::from(status))
+                .field("body", body);
+            if status == 429 {
+                item.field("retry_after_ms", retry_ms as usize)
+            } else {
+                item
+            }
+        })
+        .collect();
     let envelope = Json::object()
-        .field("count", results.len())
-        .field("errors", item_errors as usize)
-        .field("items", results);
-    Response::json(200, envelope.pretty())
+        .field("count", items.len())
+        .field("errors", errors)
+        .field("items", items);
+    (envelope.pretty(), errors as u64)
+}
+
+/// The item count of a `/v1/batch` answer as [`batch_envelope`] writes
+/// it, read from its head (`count` and `errors` are its first keys in
+/// the writer's sorted order); `None` when `body` does not have that
+/// answer's head and tail.
+pub(crate) fn envelope_count(body: &str) -> Option<usize> {
+    let (count, rest) = body.strip_prefix("{\n  \"count\": ")?.split_once(",\n")?;
+    if !rest.starts_with("  \"errors\": ") || !body.ends_with("\n}\n") {
+        return None;
+    }
+    count.parse().ok()
 }
 
 fn remove_coalesce_entry(shared: &Shared, slot: &Arc<Slot>) {
@@ -983,6 +1005,55 @@ fn jobs_pump(shared: &Arc<Shared>) {
     }
 }
 
-fn error_body(message: &str) -> String {
-    Json::object().field("error", message).pretty()
+fn error_body(message: &str) -> Pretty {
+    Json::object().field("error", message).render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spliced_envelope_is_the_tree_rendered_one() {
+        let solved = ApiJob::parse(
+            "/v1/solve",
+            br#"{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6}"#,
+        )
+        .expect("a heavy endpoint")
+        .expect("a valid request")
+        .execute(&ServicePools::new(1), &Metrics::default())
+        .expect("solves");
+        let answers = [
+            (200, solved.clone()),
+            (
+                400,
+                error_body("unknown design \"nope\"; see GET /v1/designs"),
+            ),
+            (429, error_body("solve queue full")),
+            (503, error_body("server shutting down")),
+            (
+                504,
+                error_body("deadline expired before the solve completed"),
+            ),
+            (500, error_body("line one\nline \"two\"\t\\ end\r")),
+            (200, solved),
+        ];
+        for n in 0..=answers.len() {
+            let spliced: Vec<(u16, Json)> = answers[..n]
+                .iter()
+                .map(|(status, body)| (*status, body.clone().into()))
+                .collect();
+            let parsed: Vec<(u16, Json)> = answers[..n]
+                .iter()
+                .map(|(status, body)| (*status, tsc_bench::json::parse(body).expect("parses")))
+                .collect();
+            let (envelope, errors) = batch_envelope(spliced, 187);
+            assert_eq!(envelope, batch_envelope(parsed, 187).0, "first {n} items");
+            let failed = answers[..n].iter().filter(|(status, _)| *status != 200);
+            assert_eq!(errors, failed.count() as u64);
+            assert_eq!(envelope_count(&envelope), Some(n));
+        }
+        assert_eq!(envelope_count(&error_body("no healthy backend")), None);
+        assert_eq!(envelope_count("{\n  \"count\": 2,\n  \"errors\": 0"), None);
+    }
 }

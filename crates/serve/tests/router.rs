@@ -5,6 +5,7 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{one_shot, requests_for};
@@ -752,4 +753,153 @@ fn batch_envelope_errors_match_a_lone_shard() {
 
     router.shutdown();
     backend.shutdown();
+}
+
+#[test]
+fn job_status_after_the_prober_ejects_its_owner_is_a_503() {
+    let backend_a = start_backend(0);
+    let backend_b = start_backend(0);
+    let router = start_router(
+        vec![backend_a.addr().to_string(), backend_b.addr().to_string()],
+        Duration::from_millis(50),
+    );
+    let raddr = router.addr();
+
+    let id = job_id(&one_shot(raddr, "POST", "/v1/jobs", &[], JOB_SPEC));
+    let (owner, survivor) = owner_of(&id, backend_a, backend_b);
+    let cancel = one_shot(raddr, "POST", &format!("/v1/jobs/{id}/cancel"), &[], b"");
+    assert_eq!(cancel.status, 200, "body: {}", cancel.body_str());
+
+    owner.shutdown();
+    wait_until(
+        "the prober ejects the owner",
+        Duration::from_secs(10),
+        || router.metrics().shard_ejections_total.get() >= 1,
+    );
+    let misses = requests_for(survivor.metrics(), "jobs", 404);
+    let status = one_shot(raddr, "GET", &format!("/v1/jobs/{id}"), &[], b"");
+    assert_eq!(status.status, 503, "body: {}", status.body_str());
+    assert!(status.header("retry-after").is_some(), "typed 503 hint");
+    let tunnels = router.metrics().job_event_tunnels_total.get();
+    let errors = router.metrics().upstream_errors_total.get();
+    let events = one_shot(raddr, "GET", &format!("/v1/jobs/{id}/events"), &[], b"");
+    assert_eq!(events.status, 503, "body: {}", events.body_str());
+    assert!(events.header("retry-after").is_some(), "typed 503 hint");
+    assert_eq!(
+        router.metrics().job_event_tunnels_total.get(),
+        tunnels,
+        "no tunnel to an ejected owner"
+    );
+    assert_eq!(
+        router.metrics().upstream_errors_total.get(),
+        errors,
+        "the ejected owner is not dialled"
+    );
+    assert_eq!(
+        requests_for(survivor.metrics(), "jobs", 404),
+        misses,
+        "no survivor is asked for a job it cannot hold"
+    );
+
+    router.shutdown();
+    survivor.shutdown();
+}
+
+/// A fake backend that passes health probes and answers every other
+/// request with `reply` as a 200 JSON body, keeping each request body it
+/// receives.
+fn spawn_canned_backend(reply: &'static str) -> (SocketAddr, Arc<Mutex<Vec<Vec<u8>>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = listener.local_addr().expect("local addr");
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&received);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let mut buffer = [0u8; 4096];
+                let mut bytes = Vec::new();
+                let end = loop {
+                    if let Some(at) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
+                        break at + 4;
+                    }
+                    match stream.read(&mut buffer) {
+                        Ok(0) | Err(_) => return,
+                        Ok(n) => bytes.extend_from_slice(&buffer[..n]),
+                    }
+                };
+                let head = String::from_utf8_lossy(&bytes[..end]).to_ascii_lowercase();
+                let length: usize = head
+                    .lines()
+                    .find_map(|line| line.strip_prefix("content-length:"))
+                    .map_or(0, |value| value.trim().parse().expect("content length"));
+                while bytes.len() < end + length {
+                    match stream.read(&mut buffer) {
+                        Ok(0) | Err(_) => return,
+                        Ok(n) => bytes.extend_from_slice(&buffer[..n]),
+                    }
+                }
+                let body = if head.starts_with("get /healthz") {
+                    "ok\n"
+                } else {
+                    log.lock()
+                        .expect("log")
+                        .push(bytes[end..end + length].to_vec());
+                    reply
+                };
+                let response = format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                );
+                let _ = stream.write_all(response.as_bytes());
+            });
+        }
+    });
+    (addr, received)
+}
+
+/// A two-item answer in the shard's envelope format whose item bodies
+/// hold text a parse and re-render would change (`1.50`, `\/`).
+const CANNED_ENVELOPE: &str = "{\n  \"count\": 2,\n  \"errors\": 0,\n  \"items\": [\n    {\n      \"body\": {\n        \"x\": 1.50\n      },\n      \"status\": 200\n    },\n    {\n      \"body\": {\n        \"y\": \"a\\/b\"\n      },\n      \"status\": 200\n    }\n  ]\n}\n";
+
+#[test]
+fn one_shard_batch_passes_bytes_through_both_ways() {
+    let (addr_a, seen_a) = spawn_canned_backend(CANNED_ENVELOPE);
+    let (addr_b, seen_b) = spawn_canned_backend(CANNED_ENVELOPE);
+    let router = start_router(
+        vec![addr_a.to_string(), addr_b.to_string()],
+        Duration::from_secs(600),
+    );
+    // Two utilizations of one operator: one affinity key, one shard.
+    let body: &[u8] = br#"{ "items":[{"design":"gemmini-memory","tiers":2,"lateral_cells":6,
+        "utilization_percent":50}, {"utilization_percent":60.0,"design":"gemmini-memory","tiers":2,"lateral_cells":6}],
+        "note": "kept"}"#;
+    let response = one_shot(router.addr(), "POST", "/v1/batch", &[], body);
+    assert_eq!(response.status, 200);
+    assert_eq!(response.body_str(), CANNED_ENVELOPE, "the shard's bytes");
+    let received: Vec<Vec<u8>> = [&seen_a, &seen_b]
+        .iter()
+        .flat_map(|seen| seen.lock().expect("log").clone())
+        .collect();
+    assert_eq!(received, vec![body.to_vec()], "the client's bytes");
+
+    // A count that does not match the request keeps the per-item
+    // surfacing: every item reports the inconsistent sub-batch.
+    let three = br#"{"items": [{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6},
+        {"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6, "utilization_percent": 40},
+        {"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6, "utilization_percent": 30}]}"#;
+    let response = one_shot(router.addr(), "POST", "/v1/batch", &[], three);
+    assert_eq!(response.status, 200);
+    let envelope = json::parse(&response.body_str()).expect("envelope");
+    let statuses: Vec<usize> = envelope
+        .get("items")
+        .and_then(Json::as_array)
+        .expect("items")
+        .iter()
+        .map(|item| item.get("status").and_then(Json::as_usize).unwrap_or(0))
+        .collect();
+    assert_eq!(statuses, vec![502; 3]);
+
+    router.shutdown();
 }
